@@ -23,7 +23,8 @@
  *    caching can ever save (flatten + schedule + ca-dd all cached).
  *
  * Use --json FILE to append the numbers to the BENCH_*.json
- * trajectory.
+ * trajectory; every sample also carries its per-pass ledger as
+ * pass.<name>.ms fields (milliseconds per instance).
  *
  *   $ ./perf_ensemble --instances 100 --threads-list 1,2,4,8
  *   $ ./perf_ensemble --json BENCH_perf_ensemble.json
@@ -129,6 +130,9 @@ struct Sample
     std::size_t prefixHits = 0;
     int instances = 0;
 
+    /** Milliseconds per instance in each pass, pipeline order. */
+    std::vector<PassMetric> passMillis;
+
     double
     instancesPerSecond() const
     {
@@ -194,6 +198,48 @@ parse(int argc, char **argv)
     return options;
 }
 
+/**
+ * The per-pass ledger of one ensemble, in milliseconds per instance:
+ * a cached prefix pass counts its one run, every other pass its run
+ * in each instance (the casqbench pass.<name>.ms accounting).
+ */
+std::vector<PassMetric>
+passMillis(const EnsembleResult &result)
+{
+    if (result.instances.empty())
+        return {};
+    std::vector<PassMetric> ledger = result.prefixMetrics;
+    const std::vector<PassMetric> &passes =
+        result.instances.front().metrics;
+    for (std::size_t i = result.prefixLength; i < passes.size(); ++i)
+        ledger.push_back(PassMetric{passes[i].name, 0.0});
+    for (const CompilationResult &instance : result.instances)
+        for (std::size_t i = result.prefixLength;
+             i < instance.metrics.size(); ++i)
+            ledger[i].millis += instance.metrics[i].millis;
+    for (PassMetric &metric : ledger)
+        metric.millis /= double(result.instances.size());
+    return ledger;
+}
+
+Sample
+sampleOf(const std::string &workload, const EnsembleResult &result,
+         unsigned threads)
+{
+    Sample sample;
+    sample.workload = workload;
+    sample.threads = threads;
+    // Record whether caching actually happened, not whether it was
+    // requested: a twirl-first pipeline bypasses the cache.
+    sample.cached = result.prefixLength > 0;
+    sample.wallMillis = result.wallMillis;
+    sample.prefixLength = result.prefixLength;
+    sample.prefixHits = result.prefixHits;
+    sample.instances = int(result.instances.size());
+    sample.passMillis = passMillis(result);
+    return sample;
+}
+
 /** Schedules of one configuration, for byte-identity checks. */
 std::vector<std::string>
 fingerprints(const EnsembleResult &result)
@@ -221,17 +267,7 @@ measure(const std::string &workload, PassManager &pipeline,
                   << " diverged from the serial schedules\n";
         std::exit(1);
     }
-    Sample sample;
-    sample.workload = workload;
-    sample.threads = ensemble.threads;
-    // Record whether caching actually happened, not whether it was
-    // requested: a twirl-first pipeline bypasses the cache.
-    sample.cached = result.prefixLength > 0;
-    sample.wallMillis = result.wallMillis;
-    sample.prefixLength = result.prefixLength;
-    sample.prefixHits = result.prefixHits;
-    sample.instances = int(result.instances.size());
-    return sample;
+    return sampleOf(workload, result, ensemble.threads);
 }
 
 void
@@ -268,13 +304,17 @@ writeJson(const std::string &path,
         .add("depth", options.depth)
         .add("instances", options.instances);
     for (const Sample &s : samples) {
-        json.newSample()
-            .add("workload", s.workload)
-            .add("threads", s.threads)
-            .add("cached", s.cached)
-            .add("prefix_length", s.prefixLength)
-            .add("wall_ms", s.wallMillis, 3)
-            .add("instances_per_s", s.instancesPerSecond(), 1);
+        bench::JsonFields &sample =
+            json.newSample()
+                .add("workload", s.workload)
+                .add("threads", s.threads)
+                .add("cached", s.cached)
+                .add("prefix_length", s.prefixLength)
+                .add("wall_ms", s.wallMillis, 3)
+                .add("instances_per_s", s.instancesPerSecond(), 1);
+        for (const PassMetric &metric : s.passMillis)
+            sample.add("pass." + metric.name + ".ms", metric.millis,
+                       4);
     }
     json.write(path);
 }
@@ -317,10 +357,8 @@ main(int argc, char **argv)
     EnsembleResult serial =
         twirl_first.runEnsemble(logical, backend, ensemble);
     const auto twirled_expected = fingerprints(serial);
-    Sample serial_sample;
-    serial_sample.workload = "twirl-first";
-    serial_sample.wallMillis = serial.wallMillis;
-    serial_sample.instances = int(serial.instances.size());
+    const Sample serial_sample =
+        sampleOf("twirl-first", serial, ensemble.threads);
     all.push_back(serial_sample);
 
     std::vector<Sample> twirled_samples{serial_sample};
@@ -366,10 +404,9 @@ main(int argc, char **argv)
         ensemble.prefixCache = false;
         EnsembleResult reference = first_pipeline.runEnsemble(
             logical, backend, ensemble);
-        Sample base_sample;
-        base_sample.workload = strategyName(strategy) + ":first";
-        base_sample.wallMillis = reference.wallMillis;
-        base_sample.instances = int(reference.instances.size());
+        const Sample base_sample =
+            sampleOf(strategyName(strategy) + ":first", reference,
+                     ensemble.threads);
         all.push_back(base_sample);
 
         ensemble.prefixCache = true;
@@ -409,10 +446,8 @@ main(int argc, char **argv)
         ensemble.prefixCache = false;
         EnsembleResult reference = first_pipeline.runEnsemble(
             heisenberg, backend, ensemble);
-        Sample base_sample;
-        base_sample.workload = "heisenberg:first";
-        base_sample.wallMillis = reference.wallMillis;
-        base_sample.instances = int(reference.instances.size());
+        const Sample base_sample = sampleOf(
+            "heisenberg:first", reference, ensemble.threads);
         all.push_back(base_sample);
 
         std::vector<Sample> native_samples{base_sample};
@@ -456,10 +491,8 @@ main(int argc, char **argv)
         ensemble.prefixCache = false;
         EnsembleResult reference = first_pipeline.runEnsemble(
             caec_chain, backend, ensemble);
-        Sample base_sample;
-        base_sample.workload = "caec-native:first";
-        base_sample.wallMillis = reference.wallMillis;
-        base_sample.instances = int(reference.instances.size());
+        const Sample base_sample = sampleOf(
+            "caec-native:first", reference, ensemble.threads);
         all.push_back(base_sample);
 
         std::vector<Sample> caec_samples{base_sample};
@@ -503,10 +536,8 @@ main(int argc, char **argv)
     EnsembleResult late_serial =
         late.runEnsemble(logical, backend, ensemble);
     const auto late_expected = fingerprints(late_serial);
-    Sample late_sample;
-    late_sample.workload = "late-stochastic";
-    late_sample.wallMillis = late_serial.wallMillis;
-    late_sample.instances = int(late_serial.instances.size());
+    const Sample late_sample =
+        sampleOf("late-stochastic", late_serial, ensemble.threads);
     all.push_back(late_sample);
 
     std::vector<Sample> late_samples{late_sample};

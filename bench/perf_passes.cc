@@ -2,8 +2,12 @@
  * @file
  * google-benchmark micro-benchmarks backing the paper's complexity
  * claims (Sec. IV): CA-DD scales as O(d^2 n) and CA-EC as O(d n)
- * in circuit depth d and device size n.  Also covers the
- * supporting machinery (scheduling, twirling, colouring).
+ * in circuit depth d and device size n.  CA-DD grows near-linearly
+ * within that bound (docs/passes.md, "CA-DD cost"): BM_CaDdPass is
+ * fitted O(d) over depth at 16 qubits, and the *IdleChain rows fit
+ * both DD passes O(n) over device size on the idle-heavy chain of
+ * the DD workloads.  Also covers the supporting machinery
+ * (scheduling, twirling, colouring).
  */
 
 #include <benchmark/benchmark.h>
@@ -55,6 +59,40 @@ BM_CaDdPass(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(applyCaDd(sched, backend));
     state.SetComplexityN(state.range(1));
+}
+
+/** The idle-heavy chain (delay layers) at depth 16, scheduled. */
+ScheduledCircuit
+idleChainSchedule(const Backend &backend, std::size_t n)
+{
+    return scheduleASAP(
+        bench::syntheticChainWorkload(n, 16, /*idle_layers=*/true)
+            .flatten(),
+        backend.durations());
+}
+
+void
+BM_CaDdPassIdleChain(benchmark::State &state)
+{
+    const std::size_t n = std::size_t(state.range(0));
+    const Backend backend = chainBackend(n);
+    const ScheduledCircuit sched = idleChainSchedule(backend, n);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(applyCaDd(sched, backend));
+    state.SetComplexityN(state.range(0));
+}
+
+void
+BM_UniformDdPassIdleChain(benchmark::State &state)
+{
+    const std::size_t n = std::size_t(state.range(0));
+    const Backend backend = chainBackend(n);
+    const ScheduledCircuit sched = idleChainSchedule(backend, n);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(applyUniformDd(
+            sched, backend.durations(), UniformDdStyle::Aligned));
+    }
+    state.SetComplexityN(state.range(0));
 }
 
 void
@@ -147,13 +185,26 @@ BENCHMARK(BM_ScheduleAsap)
     ->Args({16, 32})
     ->Args({64, 16});
 
+// Depth sweep at a fixed device size; device-size scaling is the
+// *IdleChain families below, fitted over n.
 BENCHMARK(BM_CaDdPass)
     ->Args({16, 4})
     ->Args({16, 8})
     ->Args({16, 16})
     ->Args({16, 32})
-    ->Args({64, 8})
-    ->Complexity(benchmark::oNSquared);
+    ->Complexity(benchmark::oN);
+
+BENCHMARK(BM_CaDdPassIdleChain)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Complexity(benchmark::oN);
+
+BENCHMARK(BM_UniformDdPassIdleChain)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Complexity(benchmark::oN);
 
 BENCHMARK(BM_CaEcPass)
     ->Args({16, 8})

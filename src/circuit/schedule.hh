@@ -86,7 +86,10 @@ class ScheduledCircuit
 
     double totalDuration() const { return _totalDuration; }
 
-    /** Append keeping (start, insertion) order; updates duration. */
+    /**
+     * Append at the tail (no reordering); updates duration.  Call
+     * sortByStart() after appending out of start order.
+     */
     void add(TimedInstruction timed);
 
     /** Stable-sort instructions by start time. */
@@ -94,8 +97,8 @@ class ScheduledCircuit
 
     /**
      * Verify no two instructions overlap on a qubit; returns the
-     * offending qubit or -1 when consistent.  Used by tests and as a
-     * post-condition of the DD passes.
+     * offending qubit or -1 when consistent.  The DD passes'
+     * post-condition, checked by tests.
      */
     int findOverlap() const;
 

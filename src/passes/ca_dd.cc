@@ -1,8 +1,10 @@
 #include "passes/ca_dd.hh"
 
 #include <algorithm>
-#include <functional>
+#include <numeric>
 #include <set>
+#include <span>
+#include <utility>
 
 #include "common/logging.hh"
 #include "passes/dd_sequences.hh"
@@ -25,39 +27,64 @@ overlapsSpan(const IdleWindow &w, double start, double end)
     return w.start < end - 1e-9 && start < w.end - 1e-9;
 }
 
-/** Union-find grouping of windows by overlap + adjacency. */
+/**
+ * Union-find grouping of windows by overlap + adjacency.  The
+ * overlapping adjacent pairs come from one start-ordered sweep that
+ * keeps, per qubit, the windows still open; they are then united in
+ * (i, j) lexicographic order, so the roots -- and with them the
+ * group order -- are those of the all-pairs scan.
+ */
 std::vector<std::vector<IdleWindow>>
 groupWindows(const std::vector<IdleWindow> &windows,
              const CrosstalkGraph &graph)
 {
-    std::vector<int> parent(windows.size());
-    for (std::size_t i = 0; i < windows.size(); ++i)
-        parent[i] = int(i);
-    std::function<int(int)> find = [&](int x) {
+    const int count = int(windows.size());
+    std::vector<int> order(count);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return windows[a].start < windows[b].start;
+    });
+    // The windows still open, per qubit.
+    std::map<std::uint32_t, std::vector<int>> open;
+    std::vector<std::pair<int, int>> pairs;
+    for (int j : order) {
+        const IdleWindow &w = windows[j];
+        for (auto q : graph.neighbors(w.qubit)) {
+            auto it = open.find(q);
+            if (it == open.end())
+                continue;
+            // A window ending by w.start overlaps neither w nor any
+            // window the sweep visits later.
+            std::erase_if(it->second, [&](int i) {
+                return windows[i].end - 1e-9 <= w.start;
+            });
+            for (int i : it->second)
+                if (overlaps(windows[i], w))
+                    pairs.emplace_back(std::min(i, j),
+                                       std::max(i, j));
+        }
+        open[w.qubit].push_back(j);
+    }
+    std::sort(pairs.begin(), pairs.end());
+
+    std::vector<int> parent(count);
+    std::iota(parent.begin(), parent.end(), 0);
+    auto find = [&](int x) {
         while (parent[x] != x) {
             parent[x] = parent[parent[x]];
             x = parent[x];
         }
         return x;
     };
-    auto unite = [&](int a, int b) {
-        parent[find(a)] = find(b);
-    };
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-        for (std::size_t j = i + 1; j < windows.size(); ++j) {
-            if (overlaps(windows[i], windows[j]) &&
-                graph.connected(windows[i].qubit,
-                                windows[j].qubit)) {
-                unite(int(i), int(j));
-            }
-        }
-    }
-    std::map<int, std::vector<IdleWindow>> buckets;
-    for (std::size_t i = 0; i < windows.size(); ++i)
-        buckets[find(int(i))].push_back(windows[i]);
+    for (const auto &[i, j] : pairs)
+        parent[find(i)] = find(j);
+    std::vector<std::vector<IdleWindow>> buckets(count);
+    for (int i = 0; i < count; ++i)
+        buckets[find(i)].push_back(windows[i]);
     std::vector<std::vector<IdleWindow>> out;
-    for (auto &[root, group] : buckets)
-        out.push_back(std::move(group));
+    for (auto &group : buckets)
+        if (!group.empty())
+            out.push_back(std::move(group));
     return out;
 }
 
@@ -131,9 +158,75 @@ splitGroup(std::vector<IdleWindow> group, double min_duration,
         splitGroup(std::move(sub), min_duration, graph, out);
 }
 
-} // namespace
+/**
+ * The echoed two-qubit gates of one schedule (the contexts CA-DD
+ * aligns to), built in a single sweep and indexed per qubit by
+ * crosstalk neighbour: the list of qubit q holds, ordered by start,
+ * every gate acting on a qubit adjacent to q.  It points into the
+ * schedule, which must outlive it.
+ */
+class EchoIndex
+{
+  public:
+    EchoIndex(const ScheduledCircuit &schedule,
+              const CrosstalkGraph &graph)
+        : _adjacent(graph.numQubits())
+    {
+        for (const auto &timed : schedule.instructions()) {
+            if (!isEchoedTwoQubitOp(timed.inst.op) ||
+                timed.duration <= 0.0) {
+                continue;
+            }
+            const int id = int(_gates.size());
+            _gates.push_back(&timed);
+            _maxDuration = std::max(_maxDuration, timed.duration);
+            for (auto gq : timed.inst.qubits) {
+                for (auto q : graph.neighbors(gq)) {
+                    // A neighbour shared by both gate qubits sees
+                    // the gate twice in a row.
+                    if (_adjacent[q].empty() ||
+                        _adjacent[q].back() != id) {
+                        _adjacent[q].push_back(id);
+                    }
+                }
+            }
+        }
+        for (auto &list : _adjacent)
+            std::stable_sort(list.begin(), list.end(),
+                             [&](int a, int b) {
+                                 return _gates[a]->start <
+                                        _gates[b]->start;
+                             });
+    }
 
-namespace {
+    const TimedInstruction &gate(int id) const { return *_gates[id]; }
+
+    /**
+     * The gates adjacent to qubit q that start before hi, leaving out
+     * only gates that end before lo.  Callers apply their exact
+     * overlap predicate to what they are given.
+     */
+    std::span<const int>
+    adjacent(std::uint32_t q, double lo, double hi) const
+    {
+        const std::vector<int> &list = _adjacent[q];
+        auto starts_before = [&](int id, double t) {
+            return _gates[id]->start < t;
+        };
+        // A gate ending after lo starts after lo - _maxDuration; the
+        // extra nanosecond absorbs rounding of start + duration.
+        const auto first =
+            std::lower_bound(list.begin(), list.end(),
+                             lo - _maxDuration - 1.0, starts_before);
+        return {first, std::lower_bound(first, list.end(), hi,
+                                        starts_before)};
+    }
+
+  private:
+    std::vector<const TimedInstruction *> _gates; //!< schedule order
+    std::vector<std::vector<int>> _adjacent;
+    double _maxDuration = 0.0;
+};
 
 /**
  * Split idle windows at the start/end times of echoed two-qubit
@@ -144,23 +237,14 @@ namespace {
  */
 std::vector<IdleWindow>
 splitAtContextBoundaries(const std::vector<IdleWindow> &windows,
-                         const ScheduledCircuit &schedule,
-                         const CrosstalkGraph &graph,
+                         const EchoIndex &echoes,
                          double min_duration)
 {
     std::vector<IdleWindow> out;
     for (const auto &w : windows) {
         std::vector<double> cuts{w.start, w.end};
-        for (const auto &timed : schedule.instructions()) {
-            if (!isEchoedTwoQubitOp(timed.inst.op) ||
-                timed.duration <= 0.0) {
-                continue;
-            }
-            bool adjacent = false;
-            for (auto gq : timed.inst.qubits)
-                adjacent |= graph.connected(gq, w.qubit);
-            if (!adjacent)
-                continue;
+        for (int id : echoes.adjacent(w.qubit, w.start, w.end)) {
+            const TimedInstruction &timed = echoes.gate(id);
             for (double t : {timed.start, timed.end()})
                 if (t > w.start + 1e-9 && t < w.end - 1e-9)
                     cuts.push_back(t);
@@ -176,15 +260,12 @@ splitAtContextBoundaries(const std::vector<IdleWindow> &windows,
     return out;
 }
 
-} // namespace
-
 std::vector<JointDelayGroup>
-collectJointDelays(const ScheduledCircuit &schedule,
-                   const CrosstalkGraph &graph, double min_duration)
+jointDelays(const ScheduledCircuit &schedule, const EchoIndex &echoes,
+            const CrosstalkGraph &graph, double min_duration)
 {
     const std::vector<IdleWindow> windows = splitAtContextBoundaries(
-        schedule.idleWindows(min_duration), schedule, graph,
-        min_duration);
+        schedule.idleWindows(min_duration), echoes, min_duration);
     std::vector<JointDelayGroup> out;
     for (auto &group : groupWindows(windows, graph))
         splitGroup(std::move(group), min_duration, graph, out);
@@ -196,9 +277,9 @@ collectJointDelays(const ScheduledCircuit &schedule,
 }
 
 ColoredGroup
-colorGroup(const JointDelayGroup &group,
-           const ScheduledCircuit &schedule,
-           const CrosstalkGraph &graph, int max_color)
+colorJointDelay(const JointDelayGroup &group, const EchoIndex &echoes,
+                const CrosstalkGraph &graph, int max_color,
+                const std::vector<int> &preference)
 {
     ColoredGroup result;
     result.group = group;
@@ -209,22 +290,31 @@ colorGroup(const JointDelayGroup &group,
     for (const auto &w : group.members)
         member_qubits.insert(w.qubit);
 
-    for (const auto &timed : schedule.instructions()) {
-        if (!isEchoedTwoQubitOp(timed.inst.op) ||
-            timed.duration <= 0.0) {
-            continue;
+    std::vector<int> concurrent;
+    for (auto m : member_qubits) {
+        for (int id : echoes.adjacent(m, group.start, group.end)) {
+            const TimedInstruction &timed = echoes.gate(id);
+            if (timed.end() > group.start + 1e-9 &&
+                timed.start < group.end - 1e-9) {
+                concurrent.push_back(id);
+            }
         }
-        if (timed.end() <= group.start + 1e-9 ||
-            timed.start >= group.end - 1e-9) {
-            continue;
-        }
-        // Only gates whose qubits neighbour a member matter.
+    }
+    // Schedule order: a later gate on the same qubit overwrites the
+    // pin of an earlier one.
+    std::sort(concurrent.begin(), concurrent.end());
+    concurrent.erase(std::unique(concurrent.begin(), concurrent.end()),
+                     concurrent.end());
+    for (int id : concurrent) {
+        const TimedInstruction &timed = echoes.gate(id);
+        // Only gate qubits that neighbour a member matter.
         for (std::size_t k = 0; k < timed.inst.qubits.size(); ++k) {
             const std::uint32_t gq = timed.inst.qubits[k];
-            bool relevant = false;
-            for (auto m : member_qubits)
-                if (graph.connected(gq, m))
-                    relevant = true;
+            const bool relevant = std::any_of(
+                member_qubits.begin(), member_qubits.end(),
+                [&](std::uint32_t m) {
+                    return graph.connected(gq, m);
+                });
             if (relevant) {
                 result.pinned[gq] =
                     (k == 0) ? kControlColor : kTargetColor;
@@ -237,7 +327,7 @@ colorGroup(const JointDelayGroup &group,
                               member_qubits.end());
     problem.pinned = result.pinned;
     problem.maxColor = max_color;
-    result.colors = greedyColor(problem, graph);
+    result.colors = greedyColor(problem, graph, preference);
 
     int max_used = 1;
     for (const auto &[q, c] : result.colors)
@@ -248,29 +338,54 @@ colorGroup(const JointDelayGroup &group,
     return result;
 }
 
+} // namespace
+
+std::vector<JointDelayGroup>
+collectJointDelays(const ScheduledCircuit &schedule,
+                   const CrosstalkGraph &graph, double min_duration)
+{
+    return jointDelays(schedule, EchoIndex(schedule, graph), graph,
+                       min_duration);
+}
+
+ColoredGroup
+colorGroup(const JointDelayGroup &group,
+           const ScheduledCircuit &schedule,
+           const CrosstalkGraph &graph, int max_color)
+{
+    return colorJointDelay(group, EchoIndex(schedule, graph), graph,
+                           max_color, colorPreferenceOrder(max_color));
+}
+
 ScheduledCircuit
 applyCaDd(const ScheduledCircuit &schedule, const Backend &backend,
           const CaddOptions &options)
 {
     const CrosstalkGraph graph =
         backend.crosstalkGraph(options.minZzRateMhz);
-    const std::vector<JointDelayGroup> groups =
-        collectJointDelays(schedule, graph, options.minDuration);
+    const EchoIndex echoes(schedule, graph);
+    const std::vector<int> preference =
+        colorPreferenceOrder(options.maxWalshIndex);
+    std::map<std::pair<int, std::size_t>, DdSequence> sequences;
 
     ScheduledCircuit out = schedule;
-    for (const auto &group : groups) {
+    for (const auto &group : jointDelays(schedule, echoes, graph,
+                                         options.minDuration)) {
         const ColoredGroup colored =
-            colorGroup(group, schedule, graph,
-                       options.maxWalshIndex);
+            colorJointDelay(group, echoes, graph,
+                            options.maxWalshIndex, preference);
         for (const auto &member : colored.group.members) {
             const int color = colored.colors.at(member.qubit);
-            const DdSequence seq =
-                walshSequence(color, colored.slots);
+            auto [it, fresh] =
+                sequences.try_emplace({color, colored.slots});
+            if (fresh)
+                it->second = walshSequence(color, colored.slots);
             insertDdPulses(out, member.qubit, member.start,
-                           member.end, seq,
+                           member.end, it->second,
                            backend.durations().oneQubit);
         }
     }
+    out.sortByStart();
     return out;
 }
 
@@ -292,26 +407,34 @@ applyUniformDd(const ScheduledCircuit &schedule,
         grid.push_back(timed.end());
     }
     std::sort(grid.begin(), grid.end());
+    const DdSequence aligned = alignedX2();
+    const DdSequence offset = offsetX2();
 
     ScheduledCircuit out = schedule;
     for (const auto &window : schedule.idleWindows(min_duration)) {
-        std::vector<double> cuts{window.start, window.end};
-        for (double t : grid)
-            if (t > window.start + 1e-9 && t < window.end - 1e-9)
-                cuts.push_back(t);
-        std::sort(cuts.begin(), cuts.end());
+        // Grid points strictly inside the window, already in order
+        // (none when the window is shorter than the tolerances).
+        const auto first = std::upper_bound(grid.begin(), grid.end(),
+                                            window.start + 1e-9);
+        const auto last = std::max(
+            first, std::lower_bound(grid.begin(), grid.end(),
+                                    window.end - 1e-9));
+        std::vector<double> cuts{window.start};
+        cuts.insert(cuts.end(), first, last);
+        cuts.push_back(window.end);
+        const DdSequence &seq =
+            style == UniformDdStyle::StaggeredByParity &&
+                    window.qubit % 2 == 1
+                ? offset
+                : aligned;
         for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
             if (cuts[i + 1] - cuts[i] < min_duration)
                 continue;
-            DdSequence seq = alignedX2();
-            if (style == UniformDdStyle::StaggeredByParity &&
-                window.qubit % 2 == 1) {
-                seq = offsetX2();
-            }
             insertDdPulses(out, window.qubit, cuts[i], cuts[i + 1],
                            seq, durations.oneQubit);
         }
     }
+    out.sortByStart();
     return out;
 }
 

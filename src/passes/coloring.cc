@@ -27,31 +27,33 @@ std::map<std::uint32_t, int>
 greedyColor(const ColoringProblem &problem,
             const CrosstalkGraph &graph)
 {
+    return greedyColor(problem, graph,
+                       colorPreferenceOrder(problem.maxColor));
+}
+
+std::map<std::uint32_t, int>
+greedyColor(const ColoringProblem &problem,
+            const CrosstalkGraph &graph,
+            const std::vector<int> &preference)
+{
     std::map<std::uint32_t, int> colors;
-    const std::vector<int> preference =
-        colorPreferenceOrder(problem.maxColor);
 
     // Constrained-first ordering: idle qubits adjacent to pinned
     // actives come first (more pinned neighbours = earlier), ties
-    // broken by index for determinism.
-    std::vector<std::uint32_t> order = problem.idleQubits;
-    auto pinned_degree = [&](std::uint32_t q) {
+    // broken by index for determinism: sort by the key
+    // (-pinned degree, index), computed once per qubit.
+    std::vector<std::pair<int, std::uint32_t>> keyed;
+    keyed.reserve(problem.idleQubits.size());
+    for (auto q : problem.idleQubits) {
         int d = 0;
         for (auto n : graph.neighbors(q))
             if (problem.pinned.count(n))
                 ++d;
-        return d;
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                         const int da = pinned_degree(a);
-                         const int db = pinned_degree(b);
-                         if (da != db)
-                             return da > db;
-                         return a < b;
-                     });
+        keyed.emplace_back(-d, q);
+    }
+    std::sort(keyed.begin(), keyed.end());
 
-    for (auto q : order) {
+    for (const auto &[key, q] : keyed) {
         std::set<int> taken;
         for (auto n : graph.neighbors(q)) {
             auto pin = problem.pinned.find(n);

@@ -55,6 +55,14 @@ std::map<std::uint32_t, int> greedyColor(
     const ColoringProblem &problem, const CrosstalkGraph &graph);
 
 /**
+ * greedyColor() with the candidate order given: a pass colouring
+ * many groups computes colorPreferenceOrder(maxColor) once.
+ */
+std::map<std::uint32_t, int> greedyColor(
+    const ColoringProblem &problem, const CrosstalkGraph &graph,
+    const std::vector<int> &preference);
+
+/**
  * Candidate colour order: rows sorted by (pulse count, index), the
  * paper's "minimize pulses while staying low in the hierarchy".
  */

@@ -59,7 +59,6 @@ insertDdPulses(ScheduledCircuit &schedule, std::uint32_t qubit,
         schedule.add(TimedInstruction{std::move(x), s,
                                       pulse_duration});
     }
-    schedule.sortByStart();
     return true;
 }
 

@@ -37,11 +37,13 @@ DdSequence offsetX2();
 DdSequence walshSequence(int k, std::size_t slots = 0);
 
 /**
- * Insert the sequence into [start, end) on the qubit as tagged X
+ * Append the sequence for [start, end) on the qubit as tagged X
  * gates of the given duration.  Pulses are centered on their
  * fractions and clamped inside the window.  Returns false (and
- * inserts nothing) when the window cannot fit the pulses without
- * overlap.
+ * appends nothing) when the window cannot fit the pulses without
+ * overlap.  The pulses go to the tail unsorted: a caller inserting
+ * many windows sorts the schedule once, with sortByStart(), after
+ * the last one.
  */
 bool insertDdPulses(ScheduledCircuit &schedule, std::uint32_t qubit,
                     double start, double end, const DdSequence &seq,

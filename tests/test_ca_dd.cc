@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 
+#include "bench_common.hh"
+#include "common/rng.hh"
+#include "common/serialize.hh"
 #include "passes/ca_dd.hh"
+#include "passes/pipeline.hh"
 #include "passes/walsh.hh"
 
 namespace casq {
@@ -248,6 +254,189 @@ TEST(CaDd, NnnEdgeForcesThirdColor)
     for (const auto &[q, c] : colored.colors)
         distinct.insert(c);
     EXPECT_EQ(distinct.size(), 3u);
+}
+
+/** 64-bit FNV-1a fingerprint of a schedule's text dump. */
+std::uint64_t
+scheduleHash(const ScheduledCircuit &sched)
+{
+    const std::string text = sched.toString();
+    return fingerprintBytes(
+        reinterpret_cast<const std::uint8_t *>(text.data()),
+        text.size());
+}
+
+std::string
+hex(std::uint64_t value)
+{
+    char buffer[24];
+    std::snprintf(buffer, sizeof buffer, "0x%016llx",
+                  static_cast<unsigned long long>(value));
+    return buffer;
+}
+
+bool
+sortedByStart(const ScheduledCircuit &sched)
+{
+    return std::is_sorted(sched.instructions().begin(),
+                          sched.instructions().end(),
+                          [](const TimedInstruction &a,
+                             const TimedInstruction &b) {
+                              return a.start < b.start;
+                          });
+}
+
+/** A DD pass or strategy output pinned by its fingerprint. */
+struct SchedulePin
+{
+    const char *name;
+    std::size_t qubits;
+    std::vector<std::uint64_t> prints;
+};
+
+// Fingerprints of the DD outputs on the idle-heavy chain (depth 16,
+// fake linear device seed 7).  They pin the exact bytes the DD
+// passes produce: any change to pulse placement, colouring or
+// instruction order moves them.
+const std::vector<SchedulePin> kPassPins = {
+    {"ca-dd", 8, {0xb2866a73fc360e2full}},
+    {"ca-dd", 32, {0x712167fb59d64958ull}},
+    {"dd-aligned", 8, {0x12aa803d288b0863ull}},
+    {"dd-aligned", 32, {0xbdf5a7a557307159ull}},
+    {"dd-staggered", 8, {0x95c03ff4d8ef9c23ull}},
+    {"dd-staggered", 32, {0xde2a367df0e4c7e9ull}},
+};
+
+const std::vector<SchedulePin> kEnsemblePins = {
+    {"ca-dd", 8,
+     {0x9e346ed47d6835d7ull, 0x0dd5b862bda6d512ull}},
+    {"ca-dd", 32,
+     {0x24816443ca870f5eull, 0xf0a5c578849d7074ull}},
+    {"dd-aligned", 8,
+     {0x094d0d4a939e8db8ull, 0x8a7e5b35a4f4aafeull}},
+    {"dd-aligned", 32,
+     {0x69060b2581983d60ull, 0xba748673b652b076ull}},
+    {"dd-staggered", 8,
+     {0x36d4be9d332d2dd4ull, 0x2e22ef7f549de362ull}},
+    {"dd-staggered", 32,
+     {0x899a4e3259bfe258ull, 0x8e584f826874cf56ull}},
+    {"ca-ec+dd", 8,
+     {0x9e346ed47d6835d7ull, 0x0dd5b862bda6d512ull}},
+    {"ca-ec+dd", 32,
+     {0x24816443ca870f5eull, 0xf0a5c578849d7074ull}},
+};
+
+TEST(CaDd, PassOutputsMatchPinnedFingerprints)
+{
+    for (const SchedulePin &pin : kPassPins) {
+        SCOPED_TRACE(std::string(pin.name) + " at " +
+                     std::to_string(pin.qubits) + " qubits");
+        const Backend backend = makeFakeLinear(pin.qubits, 7);
+        const ScheduledCircuit sched = scheduleASAP(
+            bench::syntheticChainWorkload(pin.qubits, 16,
+                                          /*idle_layers=*/true)
+                .flatten(),
+            backend.durations());
+        const std::string name = pin.name;
+        const ScheduledCircuit dressed =
+            name == "ca-dd"
+                ? applyCaDd(sched, backend)
+                : applyUniformDd(
+                      sched, backend.durations(),
+                      name == "dd-aligned"
+                          ? UniformDdStyle::Aligned
+                          : UniformDdStyle::StaggeredByParity);
+        EXPECT_TRUE(sortedByStart(dressed));
+        EXPECT_EQ(dressed.findOverlap(), -1);
+        EXPECT_GT(dressed.instructions().size(),
+                  sched.instructions().size());
+        EXPECT_EQ(hex(scheduleHash(dressed)), hex(pin.prints[0]));
+    }
+}
+
+TEST(CaDd, StrategyEnsemblesMatchPinnedFingerprints)
+{
+    for (const SchedulePin &pin : kEnsemblePins) {
+        SCOPED_TRACE(std::string(pin.name) + " at " +
+                     std::to_string(pin.qubits) + " qubits");
+        const Backend backend = makeFakeLinear(pin.qubits, 7);
+        CompileOptions options;
+        options.strategy = *strategyFromName(pin.name);
+        const std::vector<ScheduledCircuit> instances =
+            compileEnsemble(bench::syntheticChainWorkload(
+                                pin.qubits, 16, /*idle_layers=*/true),
+                            backend, options, 2, 2024);
+        ASSERT_EQ(instances.size(), pin.prints.size());
+        for (std::size_t k = 0; k < instances.size(); ++k) {
+            EXPECT_EQ(instances[k].findOverlap(), -1);
+            EXPECT_EQ(hex(scheduleHash(instances[k])),
+                      hex(pin.prints[k]))
+                << "instance " << k;
+        }
+    }
+}
+
+TEST(CaDd, UniformDdToleratesZeroLengthWindows)
+{
+    // With min_duration 0 every gap is a window, including the empty
+    // one between back-to-back gates, whose grid bisection would
+    // otherwise yield an inverted range.
+    Backend backend = testBackend(2);
+    Circuit qc(2, 0);
+    qc.sx(0).sx(0).delay(1, 2000).sx(1);
+    const ScheduledCircuit sched =
+        scheduleASAP(qc, backend.durations());
+    const ScheduledCircuit dressed =
+        applyUniformDd(sched, backend.durations(),
+                       UniformDdStyle::Aligned, 0.0);
+    EXPECT_TRUE(sortedByStart(dressed));
+    EXPECT_EQ(dressed.findOverlap(), -1);
+    EXPECT_GT(dressed.instructions().size(),
+              sched.instructions().size());
+}
+
+TEST(CaDd, RandomSchedulesStaySortedAndOverlapFree)
+{
+    // Random gate soups on a ring with next-nearest collisions and
+    // per-pair gate lengths, down to min_duration 0 (empty windows).
+    const double min_durations[] = {0.0, 35.0, 150.0};
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        const std::size_t n = 4 + rng.uniformInt(6);
+        Backend backend = makeFakeRing(n, seed);
+        backend.addNnnPair(0, 2, 0.02);
+        const auto &edges = backend.coupling().edges();
+        backend.durations().setPairDuration(edges[0].a, edges[0].b,
+                                            420.0);
+        Circuit qc(n, 0);
+        for (int g = 0; g < 12 * int(n); ++g) {
+            const std::uint32_t q = std::uint32_t(rng.uniformInt(n));
+            const double r = rng.uniform();
+            if (r < 0.3) {
+                const auto &e = edges[rng.uniformInt(edges.size())];
+                qc.ecr(e.a, e.b);
+            } else if (r < 0.6) {
+                qc.sx(q);
+            } else if (r < 0.9) {
+                qc.delay(q, 10.0 * double(rng.uniformInt(120)));
+            } else {
+                qc.barrier();
+            }
+        }
+        const ScheduledCircuit sched =
+            scheduleASAP(qc, backend.durations());
+        CaddOptions options;
+        options.minDuration = min_durations[seed % 3];
+        for (const ScheduledCircuit &dressed :
+             {applyCaDd(sched, backend, options),
+              applyUniformDd(sched, backend.durations(),
+                             UniformDdStyle::StaggeredByParity,
+                             options.minDuration)}) {
+            EXPECT_TRUE(sortedByStart(dressed));
+            EXPECT_EQ(dressed.findOverlap(), -1);
+        }
+    }
 }
 
 } // namespace
