@@ -5,22 +5,26 @@
  *
  * Three workload families bound the design space:
  *
- *  - "twirl-first" / "late-twirl": the paper's dominant workload, a
- *    Pauli-twirled CA-DD pipeline, in both orderings.  Twirl-first
- *    (the historical stock ordering) recompiles the lowering per
- *    instance; the stock late-twirl ordering compiles the
- *    twirl-plan + flatten prefix once per ensemble, and this bench
- *    reports the cached-vs-uncached compile throughput head to
- *    head.  Every late-twirl configuration is byte-compared against
- *    the serial twirl-first schedules, so the timing run doubles as
- *    the cross-ordering equivalence gate.
+ *  - "late-twirl": the paper's dominant workload, a Pauli-twirled
+ *    CA-DD pipeline.  The stock pipeline compiles the twirl-plan +
+ *    flatten prefix once per ensemble, and this bench reports the
+ *    cached-vs-uncached compile throughput head to head.
  *
- *  - per-strategy sweep: cached late-twirl vs uncached twirl-first
- *    for every stock strategy, same byte-identity gate.
+ *  - per-strategy sweep ("<strategy>:late"), uncached vs cached,
+ *    plus two native-lowering workloads on a canonical-block chain
+ *    ("heisenberg:late" under CA-DD, "caec-native:late" under
+ *    CA-EC).  The CA-EC one is a hard gate: its cached ensemble
+ *    must compile at least 1.2x faster than compileReference() does
+ *    the same instances ("caec-native:reference").
  *
  *  - "late-stochastic": a synthetic pipeline whose only stochastic
  *    pass (a random readout frame) runs LAST, bounding what prefix
  *    caching can ever save (flatten + schedule + ca-dd all cached).
+ *
+ * Every configuration of a stock pipeline is byte-compared against
+ * compileReference() (the seed's composition, pipeline.hh) before
+ * its timing is reported, so the timing run doubles as the
+ * pipeline-vs-reference equivalence gate.
  *
  * Use --json FILE to append the numbers to the BENCH_*.json
  * trajectory; every sample also carries its per-pass ledger as
@@ -30,6 +34,7 @@
  *   $ ./perf_ensemble --json BENCH_perf_ensemble.json
  */
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -230,7 +235,8 @@ sampleOf(const std::string &workload, const EnsembleResult &result,
     sample.workload = workload;
     sample.threads = threads;
     // Record whether caching actually happened, not whether it was
-    // requested: a twirl-first pipeline bypasses the cache.
+    // requested: a pipeline with no deterministic prefix bypasses
+    // the cache.
     sample.cached = result.prefixLength > 0;
     sample.wallMillis = result.wallMillis;
     sample.prefixLength = result.prefixLength;
@@ -251,6 +257,43 @@ fingerprints(const EnsembleResult &result)
     return prints;
 }
 
+/**
+ * Serial compileReference() over the ensemble, instance k seeded
+ * (seed, k + 7001) exactly as PassManager::runEnsemble() seeds it,
+ * all instances sharing one TwirlTableCache the way one pipeline
+ * shares its cache.  Stores the schedules' fingerprints in `prints`
+ * and returns the timing (compilation only) as an uncached sample.
+ */
+Sample
+measureReference(const std::string &workload,
+                 const LayeredCircuit &logical,
+                 const Backend &backend,
+                 const CompileOptions &options,
+                 const EnsembleOptions &ensemble,
+                 std::vector<std::string> &prints)
+{
+    TwirlTableCache tables;
+    std::vector<ScheduledCircuit> schedules;
+    schedules.reserve(std::size_t(ensemble.instances));
+    const Rng master(ensemble.seed);
+    const auto begin = std::chrono::steady_clock::now();
+    for (int k = 0; k < ensemble.instances; ++k) {
+        Rng rng = master.derive(std::uint64_t(k) + 7001);
+        schedules.push_back(compileReference(logical, backend,
+                                             options, rng, &tables));
+    }
+    Sample sample;
+    sample.workload = workload;
+    sample.wallMillis = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count();
+    sample.instances = ensemble.instances;
+    prints.clear();
+    for (const ScheduledCircuit &schedule : schedules)
+        prints.push_back(schedule.toString());
+    return sample;
+}
+
 Sample
 measure(const std::string &workload, PassManager &pipeline,
         const LayeredCircuit &logical, const Backend &backend,
@@ -264,7 +307,7 @@ measure(const std::string &workload, PassManager &pipeline,
         std::cerr << "FAIL: " << workload << " threads="
                   << ensemble.threads << " cached="
                   << ensemble.prefixCache
-                  << " diverged from the serial schedules\n";
+                  << " diverged from compileReference()\n";
         std::exit(1);
     }
     return sampleOf(workload, result, ensemble.threads);
@@ -331,178 +374,122 @@ main(int argc, char **argv)
 
     std::vector<Sample> all;
 
-    // ------------------------------- twirled CA-DD, both orderings
-    // The paper's Figs. 3-10 workload shape.  Twirl-first is the
-    // historical stock ordering (prefix cache nearly inert); the
-    // stock late-twirl ordering compiles the lowering prefix once
-    // per ensemble.  The serial twirl-first schedules are the
-    // reference every other configuration must reproduce byte for
-    // byte -- including the late-twirl ones, which makes this the
-    // cross-ordering equivalence gate.
-    CompileOptions first_options;
-    first_options.strategy = Strategy::CaDd;
-    first_options.lateTwirl = false;
-    PassManager twirl_first = buildPipeline(first_options);
-
-    CompileOptions late_options;
-    late_options.strategy = Strategy::CaDd;
-    PassManager late_twirl = buildPipeline(late_options);
-
     EnsembleOptions ensemble;
     ensemble.instances = options.instances;
     ensemble.seed = options.seed;
-    ensemble.threads = 1;
-    ensemble.prefixCache = false;
+    std::vector<std::string> expected;
 
-    EnsembleResult serial =
-        twirl_first.runEnsemble(logical, backend, ensemble);
-    const auto twirled_expected = fingerprints(serial);
-    const Sample serial_sample =
-        sampleOf("twirl-first", serial, ensemble.threads);
-    all.push_back(serial_sample);
+    // ------------------------------------------------ twirled CA-DD
+    // The paper's Figs. 3-10 workload shape: the serial uncached
+    // run, then the cached prefix on every thread count.
+    {
+        CompileOptions cadd;
+        cadd.strategy = Strategy::CaDd;
+        PassManager pipeline = buildPipeline(cadd);
+        measureReference("late-twirl", logical, backend, cadd,
+                         ensemble, expected);
 
-    std::vector<Sample> twirled_samples{serial_sample};
-    // Uncached vs cached late twirl, serial: the headline compile-
-    // throughput win of reordering twirl past the lowering.
-    for (bool cached : {false, true}) {
+        std::vector<Sample> samples;
         ensemble.threads = 1;
-        ensemble.prefixCache = cached;
-        all.push_back(measure("late-twirl", late_twirl, logical,
-                              backend, ensemble,
-                              twirled_expected));
-        twirled_samples.push_back(all.back());
-    }
-    for (unsigned threads : options.threadsList) {
-        if (threads <= 1)
-            continue;
-        ensemble.threads = threads;
+        for (bool cached : {false, true}) {
+            ensemble.prefixCache = cached;
+            all.push_back(measure("late-twirl", pipeline, logical,
+                                  backend, ensemble, expected));
+            samples.push_back(all.back());
+        }
         ensemble.prefixCache = true;
-        all.push_back(measure("late-twirl", late_twirl, logical,
-                              backend, ensemble,
-                              twirled_expected));
-        twirled_samples.push_back(all.back());
+        for (unsigned threads : options.threadsList) {
+            if (threads <= 1)
+                continue;
+            ensemble.threads = threads;
+            all.push_back(measure("late-twirl", pipeline, logical,
+                                  backend, ensemble, expected));
+            samples.push_back(all.back());
+        }
+        report(samples, samples.front().wallMillis);
     }
-    report(twirled_samples, serial_sample.wallMillis);
 
     // ------------------------------------- every stock strategy
-    // Cached late-twirl vs uncached twirl-first, serial, per
-    // strategy.  Since the scheduled CA-EC walk landed, every
-    // strategy -- the CA-EC ones included -- must actually engage
-    // the prefix cache; a zero prefix-hit count here means a
-    // pipeline silently fell back to per-instance lowering.
+    // Uncached vs cached, serial, per strategy.  Every strategy --
+    // the CA-EC ones included -- must actually engage the prefix
+    // cache; a zero prefix-hit count here means a pipeline silently
+    // fell back to per-instance lowering.
+    ensemble.threads = 1;
     for (Strategy strategy : allStrategies()) {
-        CompileOptions baseline;
-        baseline.strategy = strategy;
-        baseline.lateTwirl = false;
-        PassManager first_pipeline = buildPipeline(baseline);
-
         CompileOptions stock;
         stock.strategy = strategy;
-        PassManager stock_pipeline = buildPipeline(stock);
+        PassManager pipeline = buildPipeline(stock);
+        const std::string workload = strategyName(strategy) + ":late";
+        measureReference(workload, logical, backend, stock, ensemble,
+                         expected);
 
-        ensemble.threads = 1;
-        ensemble.prefixCache = false;
-        EnsembleResult reference = first_pipeline.runEnsemble(
-            logical, backend, ensemble);
-        const Sample base_sample =
-            sampleOf(strategyName(strategy) + ":first", reference,
-                     ensemble.threads);
-        all.push_back(base_sample);
-
-        ensemble.prefixCache = true;
-        all.push_back(measure(strategyName(strategy) + ":late",
-                              stock_pipeline, logical, backend,
-                              ensemble, fingerprints(reference)));
+        std::vector<Sample> samples;
+        for (bool cached : {false, true}) {
+            ensemble.prefixCache = cached;
+            all.push_back(measure(workload, pipeline, logical,
+                                  backend, ensemble, expected));
+            samples.push_back(all.back());
+        }
         if (all.back().prefixHits == 0) {
-            std::cerr << "FAIL: " << strategyName(strategy)
-                      << ":late compiled without any prefix-cache"
-                         " hit\n";
+            std::cerr << "FAIL: " << workload
+                      << " compiled without any prefix-cache hit\n";
             std::exit(1);
         }
-        report({base_sample, all.back()},
-               base_sample.wallMillis);
+        report(samples, samples.front().wallMillis);
     }
 
     // --------------------------------- heisenberg, native lowering
-    // Canonical blocks under --native: the twirl-first ordering
-    // resynthesizes every can block per twirled instance, the
-    // late-twirl ordering pays transpilation once in the prefix.
+    // Canonical blocks under --native: every can block resynthesizes
+    // into its 3-CX fragment, which the cached prefix pays once.
+    const LayeredCircuit can_chain =
+        canChainWorkload(options.qubits, options.depth / 2);
     {
-        const LayeredCircuit heisenberg =
-            canChainWorkload(options.qubits, options.depth / 2);
+        CompileOptions native;
+        native.strategy = Strategy::CaDd;
+        native.lowerToNative = true;
+        PassManager pipeline = buildPipeline(native);
+        measureReference("heisenberg:reference", can_chain, backend,
+                         native, ensemble, expected);
 
-        CompileOptions first_native;
-        first_native.strategy = Strategy::CaDd;
-        first_native.lowerToNative = true;
-        first_native.lateTwirl = false;
-        PassManager first_pipeline = buildPipeline(first_native);
-
-        CompileOptions late_native;
-        late_native.strategy = Strategy::CaDd;
-        late_native.lowerToNative = true;
-        PassManager late_pipeline = buildPipeline(late_native);
-
-        ensemble.threads = 1;
-        ensemble.prefixCache = false;
-        EnsembleResult reference = first_pipeline.runEnsemble(
-            heisenberg, backend, ensemble);
-        const Sample base_sample = sampleOf(
-            "heisenberg:first", reference, ensemble.threads);
-        all.push_back(base_sample);
-
-        std::vector<Sample> native_samples{base_sample};
-        const auto native_expected = fingerprints(reference);
+        std::vector<Sample> samples;
         for (bool cached : {false, true}) {
             ensemble.prefixCache = cached;
-            all.push_back(measure("heisenberg:late",
-                                  late_pipeline, heisenberg,
-                                  backend, ensemble,
-                                  native_expected));
-            native_samples.push_back(all.back());
+            all.push_back(measure("heisenberg:late", pipeline,
+                                  can_chain, backend, ensemble,
+                                  expected));
+            samples.push_back(all.back());
         }
-        report(native_samples, base_sample.wallMillis);
+        report(samples, samples.front().wallMillis);
     }
 
     // --------------------- paper CA-EC workload, scheduled walk
-    // The Heisenberg canonical-block chain under the plain CA-EC
-    // strategy with native lowering: the workload of the paper's
-    // compensation study (Figs. 7-8).  Twirl-first runs the layered
-    // walk and re-transpiles the whole stream per instance; the
-    // scheduled walk compiles flatten + transpile + the blueprint
-    // once, then only re-lowers the layers it absorbs angles into.
-    // Byte-compared against the twirl-first schedules before
-    // timing; the serial cached speedup is a hard gate.
+    // The canonical-block chain under the plain CA-EC strategy with
+    // native lowering: the workload of the paper's compensation
+    // study (Figs. 7-8).  compileReference() twirls, runs the
+    // layered walk and transpiles the whole stream per instance;
+    // the cached pipeline compiles flatten + transpile + the
+    // blueprint once, then only re-lowers the layers it absorbs
+    // angles into.  The cached speedup over the reference is a hard
+    // gate.
     {
-        const LayeredCircuit caec_chain =
-            canChainWorkload(options.qubits, options.depth / 2);
+        CompileOptions caec;
+        caec.strategy = Strategy::Ec;
+        caec.lowerToNative = true;
+        PassManager pipeline = buildPipeline(caec);
+        all.push_back(measureReference("caec-native:reference",
+                                       can_chain, backend, caec,
+                                       ensemble, expected));
+        const Sample reference = all.back();
 
-        CompileOptions first_caec;
-        first_caec.strategy = Strategy::Ec;
-        first_caec.lowerToNative = true;
-        first_caec.lateTwirl = false;
-        PassManager first_pipeline = buildPipeline(first_caec);
-
-        CompileOptions late_caec;
-        late_caec.strategy = Strategy::Ec;
-        late_caec.lowerToNative = true;
-        PassManager late_pipeline = buildPipeline(late_caec);
-
-        ensemble.threads = 1;
-        ensemble.prefixCache = false;
-        EnsembleResult reference = first_pipeline.runEnsemble(
-            caec_chain, backend, ensemble);
-        const Sample base_sample = sampleOf(
-            "caec-native:first", reference, ensemble.threads);
-        all.push_back(base_sample);
-
-        std::vector<Sample> caec_samples{base_sample};
-        const auto caec_expected = fingerprints(reference);
-        ensemble.prefixCache = true;
-        all.push_back(measure("caec-native:late", late_pipeline,
-                              caec_chain, backend, ensemble,
-                              caec_expected));
-        caec_samples.push_back(all.back());
-        report(caec_samples, base_sample.wallMillis);
+        std::vector<Sample> samples{reference};
+        for (bool cached : {false, true}) {
+            ensemble.prefixCache = cached;
+            all.push_back(measure("caec-native:late", pipeline,
+                                  can_chain, backend, ensemble,
+                                  expected));
+            samples.push_back(all.back());
+        }
+        report(samples, reference.wallMillis);
 
         const Sample &cached = all.back();
         if (cached.prefixHits == 0) {
@@ -512,12 +499,13 @@ main(int argc, char **argv)
         }
         const double speedup =
             cached.wallMillis > 0.0
-                ? base_sample.wallMillis / cached.wallMillis
+                ? reference.wallMillis / cached.wallMillis
                 : 0.0;
         if (speedup < 1.2) {
             std::cerr << "FAIL: caec-native cached speedup "
                       << std::fixed << std::setprecision(2)
-                      << speedup << "x below the 1.2x gate\n";
+                      << speedup << "x over compileReference() below"
+                      << " the 1.2x gate\n";
             std::exit(1);
         }
     }

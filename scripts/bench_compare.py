@@ -22,7 +22,9 @@ relative regression -- that configuration got slower compared to its
 peers -- and the script exits 1.
 
 Samples faster than --min-wall-ms in the baseline are matched but not
-gated: sub-millisecond timings are dominated by noise.
+gated: sub-millisecond timings are dominated by noise.  Baseline
+samples no fresh run produced are listed as ungated, so a gate that
+vanished with a renamed or deleted sample shows in the log.
 """
 
 import argparse
@@ -144,6 +146,8 @@ def compare(baseline_path, fresh_paths, tolerance, min_wall_ms):
 
     for key in missing:
         print(f"  fresh sample not in baseline (ignored): {key}")
+    for key in sorted(base_samples.keys() - fresh_best.keys()):
+        print(f"  baseline sample not produced (ungated): {key}")
 
     if failures:
         print(f"\n{len(failures)} normalized throughput regression(s) "

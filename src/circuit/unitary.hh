@@ -102,7 +102,7 @@ Circuit transpileToNative(const Circuit &circuit,
  * transpileToNative() rewrites instruction by instruction, lowering
  * a fragment equals lowering it as part of the whole circuit -- the
  * property the late-twirl and scheduled CA-EC passes rely on for
- * byte-identity with the twirl-first pipelines.
+ * byte-identity with compileReference() (passes/pipeline.hh).
  */
 std::vector<Instruction> transpileFragment(
     std::vector<Instruction> insts, std::size_t num_qubits,

@@ -163,8 +163,8 @@ class CaEcSink
  * decoupled from the circuit representation: it reads a sequence of
  * (borrowed) pre-lowering layers and emits through a CaEcSink.  The
  * walk consumes no randomness.  Internal linkage: the public pass
- * objects wrapping applyCaEc() / applyCaEcFlat() are casq::CaEcPass
- * and casq::CaEcFlatPass (passes/builtin.hh), distinct classes.
+ * object wrapping applyCaEcFlat() is casq::CaEcFlatPass
+ * (passes/builtin.hh), a distinct class.
  */
 class CaEcWalk
 {
@@ -905,9 +905,7 @@ makeCaecPlan(const LayeredCircuit &circuit)
 {
     CaecPlan plan;
     plan.layered = circuit;
-    for (const Layer &layer : circuit.layers())
-        for (const Instruction &inst : layer.insts)
-            plan.barrierFree &= inst.op != Op::Barrier;
+    plan.innerBarriers = innerBarrierCounts(circuit);
     return plan;
 }
 
@@ -921,44 +919,43 @@ applyCaEcFlat(const Circuit &flat, const CaecPlan &plan,
     const std::vector<Layer> &layers = plan.layered.layers();
     if (layers.empty())
         return flat;
-    casq_assert(plan.barrierFree,
-                "scheduled CA-EC requires barrier-free layers "
-                "(a barrier inside a layer shifts the segment "
-                "recovery); compile this circuit twirl-first");
+    casq_assert(plan.innerBarriers.size() == layers.size(),
+                "CA-EC plan counts barriers for ",
+                plan.innerBarriers.size(), " layer(s) but holds ",
+                layers.size(), "; build it with makeCaecPlan()");
 
-    std::vector<std::vector<Instruction>> segments =
-        barrierSegments(flat);
-
-    // Rebuild the twirled pre-lowering layer sequence the legacy
-    // layered walk saw: the plan's layers with the late-sampled
-    // frame layers spliced around each target, empty frame layers
-    // elided exactly as pauliTwirl() elides them.
+    // Rebuild the twirled pre-lowering layer sequence applyCaEc()
+    // walks: the plan's layers with the late-sampled frame layers
+    // spliced around each target, empty frame layers elided exactly
+    // as pauliTwirl() elides them.  Frame layers hold no barrier.
     std::deque<Layer> frame_storage; // stable addresses
     std::vector<const Layer *> view;
-    view.reserve(segments.size());
+    std::vector<std::size_t> inner_barriers;
     std::size_t next = 0;
+    const auto push_frame = [&](const std::vector<Instruction> &insts) {
+        frame_storage.push_back(Layer{LayerKind::OneQubit, insts});
+        view.push_back(&frame_storage.back());
+        inner_barriers.push_back(0);
+    };
     for (std::size_t li = 0; li < layers.size(); ++li) {
         const TwirlFrames::LayerFrames *target = nullptr;
         if (frames && next < frames->targets.size() &&
             frames->targets[next].layer == li)
             target = &frames->targets[next++];
-        if (target && !target->pre.empty()) {
-            frame_storage.push_back(
-                Layer{LayerKind::OneQubit, target->pre});
-            view.push_back(&frame_storage.back());
-        }
+        if (target && !target->pre.empty())
+            push_frame(target->pre);
         view.push_back(&layers[li]);
-        if (target && !target->post.empty()) {
-            frame_storage.push_back(
-                Layer{LayerKind::OneQubit, target->post});
-            view.push_back(&frame_storage.back());
-        }
+        inner_barriers.push_back(plan.innerBarriers[li]);
+        if (target && !target->post.empty())
+            push_frame(target->post);
     }
     casq_assert(!frames || next == frames->targets.size(),
                 "twirl frames cover ", frames ? frames->targets.size()
                                               : 0,
                 " target(s) but only ", next,
                 " matched the CA-EC plan's layers");
+    std::vector<std::vector<Instruction>> segments =
+        barrierSegments(flat, inner_barriers);
     casq_assert(view.size() == segments.size(),
                 "flat circuit has ", segments.size(),
                 " barrier segment(s) but the CA-EC plan expects ",

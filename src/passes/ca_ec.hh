@@ -99,7 +99,7 @@ CaecOptions caecActiveOnlyOptions();
  * walk: the pre-twirl layered circuit captured before lowering,
  * from which applyCaEcFlat() reconstructs -- together with the
  * frames the late-twirl pass sampled -- the exact layer sequence
- * the legacy layered walk would have operated on.  Captured once
+ * applyCaEc() walks on the twirled circuit.  Captured once
  * in a pipeline's deterministic prefix and shared across ensemble
  * instances (the property map stores it as a shared_ptr so the
  * per-instance context forks copy a pointer, not the circuit).
@@ -108,12 +108,8 @@ struct CaecPlan
 {
     LayeredCircuit layered{0, 0};
 
-    /**
-     * False when some layer holds a Barrier instruction, which
-     * would shift the flat segment recovery; applyCaEcFlat()
-     * rejects such plans (twirl-first pipelines accept them).
-     */
-    bool barrierFree = true;
+    /** Per layer, its full-width barriers (innerBarrierCounts()). */
+    std::vector<std::size_t> innerBarriers;
 };
 
 /** Capture the scheduled-walk blueprint of a layered circuit. */
@@ -134,7 +130,7 @@ CaecPlan makeCaecPlan(const LayeredCircuit &circuit);
  * what flatten() (+ transpileToNative()) of applyCaEc() on the
  * twirled circuit produces -- same instructions, same order, same
  * barriers -- so scheduling it yields schedules byte-identical to
- * the legacy twirl-first CA-EC pipeline.  The walk itself consumes
+ * compileReference() (pipeline.hh).  The walk itself consumes
  * no randomness; `frames == nullptr` means the stream is untwirled.
  *
  * `cache`, when given, memoizes the per-instruction re-lowering of
@@ -142,8 +138,8 @@ CaecPlan makeCaecPlan(const LayeredCircuit &circuit);
  * across an ensemble; see TranspileCache).  It must have been
  * constructed with the same options as `native`.  `tables`, when
  * given, shares the walk's Pauli-conjugation tables across calls
- * (tables are pure functions of the gate kind; the legacy layered
- * walk rebuilds them per call) -- typically the pipeline's
+ * (tables are pure functions of the gate kind; applyCaEc()
+ * rebuilds them per call) -- typically the pipeline's
  * TwirlTableCache, already warmed by the twirl-plan pass.
  */
 Circuit applyCaEcFlat(const Circuit &flat, const CaecPlan &plan,

@@ -85,36 +85,23 @@ buildPipeline(const CompileOptions &options)
 {
     PassManager manager;
 
-    // Every strategy defaults to the late ordering: sample the
-    // twirl frames -- and, for the CA-EC strategies, run the
-    // compensation walk -- on the lowered circuit, which leaves the
-    // whole flatten/(transpile) front end deterministic and
+    // Sample the twirl frames -- and, for the CA-EC strategies, run
+    // the compensation walk -- on the lowered circuit, which leaves
+    // the whole flatten/(transpile) front end deterministic and
     // therefore shareable across ensemble instances.
-    // CompileOptions::lateTwirl = false restores the historical
-    // twirl-first ordering (the A/B reference).
     const bool uses_caec = options.strategy == Strategy::Ec ||
                            options.strategy == Strategy::EcAlignedDd ||
                            options.strategy == Strategy::Combined;
-    const bool late_twirl = options.twirl && options.lateTwirl;
-    const bool scheduled_caec = uses_caec && options.lateTwirl;
 
     std::shared_ptr<TwirlTableCache> tables;
     if (options.twirl) {
         // One conjugation-table cache for the whole pipeline: the
-        // plan pass warms it in the deterministic prefix, the twirl
-        // pass (either ordering) samples from it.
+        // plan pass warms it in the deterministic prefix, the
+        // late-twirl pass and the CA-EC walk read from it.
         tables = std::make_shared<TwirlTableCache>();
-        manager.emplace<TwirlPlanPass>(tables, late_twirl);
-        if (!late_twirl)
-            manager.emplace<TwirlPass>(tables);
+        manager.emplace<TwirlPlanPass>(tables);
     }
-
-    // Layered-stage compensation: the legacy walk under the
-    // twirl-first ordering, the blueprint capture otherwise (the
-    // walk itself then runs at the flat stage below).
-    if (uses_caec && !scheduled_caec)
-        manager.emplace<CaEcPass>(caecOptionsFor(options));
-    if (scheduled_caec)
+    if (uses_caec)
         manager.emplace<CaEcPlanPass>();
 
     const std::optional<TranspileOptions> native =
@@ -124,10 +111,9 @@ buildPipeline(const CompileOptions &options)
     manager.emplace<FlattenPass>();
     if (options.lowerToNative)
         manager.emplace<TranspilePass>(options.transpile);
-    if (late_twirl)
-        manager.emplace<LateTwirlPass>(tables, native,
-                                       scheduled_caec);
-    if (scheduled_caec)
+    if (options.twirl)
+        manager.emplace<LateTwirlPass>(tables, native, uses_caec);
+    if (uses_caec)
         manager.emplace<CaEcFlatPass>(caecOptionsFor(options),
                                       native, tables);
     manager.emplace<SchedulePass>();
@@ -160,6 +146,74 @@ buildPipeline(Strategy strategy)
     CompileOptions options;
     options.strategy = strategy;
     return buildPipeline(options);
+}
+
+ScheduledCircuit
+compileReference(const LayeredCircuit &logical,
+                 const Backend &backend,
+                 const CompileOptions &options, Rng &rng,
+                 TwirlTableCache *tables)
+{
+    LayeredCircuit layered = logical;
+    if (options.twirl)
+        layered = tables ? pauliTwirl(layered, rng, *tables)
+                         : pauliTwirl(layered, rng);
+
+    switch (options.strategy) {
+      case Strategy::Ec:
+        layered = applyCaEc(layered, backend, options.caec);
+        break;
+      case Strategy::EcAlignedDd: {
+        CaecOptions caec = options.caec;
+        caec.compensateZ = false;
+        caec.starkCompensation = false;
+        layered = applyCaEc(layered, backend, caec);
+        break;
+      }
+      case Strategy::Combined: {
+        CaecOptions caec = caecActiveOnlyOptions();
+        caec.assumedDynamicIdleNs =
+            options.caec.assumedDynamicIdleNs;
+        caec.minAngle = options.caec.minAngle;
+        caec.insertRzz = options.caec.insertRzz;
+        layered = applyCaEc(layered, backend, caec);
+        break;
+      }
+      default:
+        break;
+    }
+
+    Circuit flat = layered.flatten();
+    if (options.lowerToNative)
+        flat = transpileToNative(flat, options.transpile);
+
+    ScheduledCircuit scheduled =
+        scheduleASAP(flat, backend.durations());
+
+    switch (options.strategy) {
+      case Strategy::DdAligned:
+        scheduled = applyUniformDd(scheduled, backend.durations(),
+                                   UniformDdStyle::Aligned,
+                                   options.cadd.minDuration);
+        break;
+      case Strategy::DdStaggered:
+        scheduled = applyUniformDd(scheduled, backend.durations(),
+                                   UniformDdStyle::StaggeredByParity,
+                                   options.cadd.minDuration);
+        break;
+      case Strategy::EcAlignedDd:
+        scheduled = applyUniformDd(scheduled, backend.durations(),
+                                   UniformDdStyle::Aligned,
+                                   options.cadd.minDuration);
+        break;
+      case Strategy::CaDd:
+      case Strategy::Combined:
+        scheduled = applyCaDd(scheduled, backend, options.cadd);
+        break;
+      default:
+        break;
+    }
+    return scheduled;
 }
 
 ScheduledCircuit

@@ -128,16 +128,9 @@ TwirlPlan
 makeTwirlPlan(const LayeredCircuit &circuit)
 {
     TwirlPlan plan;
-    plan.layerCount = circuit.layers().size();
-    for (std::size_t li = 0; li < plan.layerCount; ++li) {
+    plan.innerBarriers = innerBarrierCounts(circuit);
+    for (std::size_t li = 0; li < circuit.layers().size(); ++li) {
         const Layer &layer = circuit.layers()[li];
-        // Segment recovery in lateTwirl() splits the flat circuit
-        // on the barriers flatten() emits between layers; a barrier
-        // *inside* a layer would shift every segment after it.
-        // Only lateTwirl() cares, so record the fact instead of
-        // rejecting circuits that twirl-first pipelines accept.
-        for (const Instruction &inst : layer.insts)
-            plan.barrierFree &= inst.op != Op::Barrier;
         if (layer.kind != LayerKind::TwoQubit)
             continue;
         TwirlPlan::LayerGates target;
@@ -151,19 +144,49 @@ makeTwirlPlan(const LayeredCircuit &circuit)
     return plan;
 }
 
-std::vector<std::vector<Instruction>>
-barrierSegments(const Circuit &flat)
+bool
+isSegmentBarrier(const Instruction &inst, std::size_t num_qubits)
 {
-    // flatten() emits exactly one all-qubit barrier between
-    // consecutive layers, and transpilation passes barriers through
-    // untouched.
+    return inst.op == Op::Barrier && inst.qubits.size() == num_qubits;
+}
+
+std::vector<std::size_t>
+innerBarrierCounts(const LayeredCircuit &circuit)
+{
+    std::vector<std::size_t> counts;
+    counts.reserve(circuit.layers().size());
+    for (const Layer &layer : circuit.layers()) {
+        std::size_t count = 0;
+        for (const Instruction &inst : layer.insts)
+            count += isSegmentBarrier(inst, circuit.numQubits());
+        counts.push_back(count);
+    }
+    return counts;
+}
+
+std::vector<std::vector<Instruction>>
+barrierSegments(const Circuit &flat,
+                const std::vector<std::size_t> &inner_barriers)
+{
+    // flatten() emits exactly one all-qubit barrier after each
+    // layer but the last, and transpilation passes barriers through
+    // untouched; a layer's own full-width barriers come before the
+    // one that closes it.
     std::vector<std::vector<Instruction>> segments(1);
+    std::size_t kept = 0; // inner barriers in the open segment
     for (const Instruction &inst : flat.instructions()) {
-        if (inst.op == Op::Barrier &&
-            inst.qubits.size() == flat.numQubits())
-            segments.emplace_back();
-        else
-            segments.back().push_back(inst);
+        if (isSegmentBarrier(inst, flat.numQubits())) {
+            const std::size_t s = segments.size() - 1;
+            const std::size_t inner =
+                s < inner_barriers.size() ? inner_barriers[s] : 0;
+            if (kept == inner) {
+                segments.emplace_back();
+                kept = 0;
+                continue;
+            }
+            ++kept;
+        }
+        segments.back().push_back(inst);
     }
     return segments;
 }
@@ -175,22 +198,19 @@ lateTwirl(const Circuit &flat, const TwirlPlan &plan, Rng &rng,
 {
     if (frames)
         *frames = 0;
-    if (plan.layerCount == 0)
+    if (plan.innerBarriers.empty())
         return flat;
-    casq_assert(plan.barrierFree,
-                "late twirling requires barrier-free layers "
-                "(a barrier inside a layer shifts the segment "
-                "recovery); compile this circuit twirl-first");
 
     std::vector<std::vector<Instruction>> segments =
-        barrierSegments(flat);
-    casq_assert(segments.size() == plan.layerCount,
+        barrierSegments(flat, plan.innerBarriers);
+    casq_assert(segments.size() == plan.innerBarriers.size(),
                 "flat circuit has ", segments.size(),
                 " barrier segment(s) but the twirl plan was "
-                "captured from ", plan.layerCount, " layer(s)");
+                "captured from ", plan.innerBarriers.size(),
+                " layer(s)");
 
-    // Frame gates receive the same lowering the twirl-first
-    // pipeline's transpile pass would have applied to them.
+    // Frame gates receive the same lowering transpileToNative()
+    // gives them when they are twirled in before lowering.
     const auto lowered = [&](std::vector<Instruction> layer) {
         if (!native)
             return layer;

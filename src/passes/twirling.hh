@@ -33,7 +33,7 @@ namespace casq {
  * Cache of numerically-built conjugation tables per gate kind.
  *
  * tableFor() is safe to call concurrently: parallel ensemble
- * compilation (PassManager::runEnsemble) shares one TwirlPass --
+ * compilation (PassManager::runEnsemble) shares one pipeline --
  * and therefore one cache -- across all worker threads.  Lookups
  * take a shared lock; the first miss per gate kind builds the
  * table under the exclusive lock.  Returned references stay valid
@@ -99,15 +99,12 @@ struct TwirlPlan
     /** TwoQubit layers holding at least one two-qubit gate. */
     std::vector<LayerGates> targets;
 
-    /** Layer count at plan time (= flat barrier segments). */
-    std::size_t layerCount = 0;
-
     /**
-     * False when some layer holds a Barrier instruction, which
-     * would shift lateTwirl()'s segment recovery; lateTwirl()
-     * rejects such plans (twirl-first pipelines accept them).
+     * Per layer, the full-width barriers inside it (see
+     * innerBarrierCounts()); the size is the layer count at plan
+     * time, i.e. the number of flat barrier segments.
      */
-    bool barrierFree = true;
+    std::vector<std::size_t> innerBarriers;
 
     /** Total gates across targets (for diagnostics/tests). */
     std::size_t gateCount() const;
@@ -121,8 +118,8 @@ TwirlPlan makeTwirlPlan(const LayeredCircuit &circuit);
  * lowering: for every plan target, the tagged Pauli instructions of
  * the pre and post frame layers (possibly empty -- identity frames
  * insert no gates).  The scheduled CA-EC walk consumes this to
- * rebuild the twirled pre-lowering layer sequence the legacy
- * layered walk would have seen, because after transpilation the
+ * rebuild the twirled pre-lowering layer sequence pauliTwirl()
+ * would have produced, because after transpilation the
  * frame gates are no longer recoverable from the lowered stream
  * (Y lowers to an untagged rz + x fragment, for example).
  */
@@ -140,15 +137,30 @@ struct TwirlFrames
 };
 
 /**
+ * True when `inst` is a barrier across all `num_qubits` qubits: the
+ * only instruction barrierSegments() can split on, and so the kind
+ * the plans count inside layers.  Partial barriers never split.
+ */
+bool isSegmentBarrier(const Instruction &inst,
+                      std::size_t num_qubits);
+
+/** Per layer, how many of its instructions are segment barriers. */
+std::vector<std::size_t>
+innerBarrierCounts(const LayeredCircuit &circuit);
+
+/**
  * Split a flat circuit into the layer segments flatten() encoded:
- * one segment per stretch between consecutive all-qubit barriers
- * (the barriers themselves are dropped).  Transpilation passes
- * barriers through untouched, so the split works on lowered streams
- * too; both lateTwirl() and the scheduled CA-EC walk recover layer
- * boundaries this way.
+ * segment s ends at the first full-width barrier after the
+ * `inner_barriers[s]` ones that belong to the layer itself (those
+ * stay in the segment, in place; the boundary barriers are
+ * dropped).  Segments past the end of `inner_barriers` hold no
+ * inner barrier.  Transpilation passes barriers through untouched,
+ * so the split works on lowered streams too; both lateTwirl() and
+ * the scheduled CA-EC walk recover layer boundaries this way.
  */
 std::vector<std::vector<Instruction>>
-barrierSegments(const Circuit &flat);
+barrierSegments(const Circuit &flat,
+                const std::vector<std::size_t> &inner_barriers);
 
 /**
  * Insert freshly sampled Pauli-twirl frames into a lowered circuit:
@@ -163,11 +175,11 @@ barrierSegments(const Circuit &flat);
  * byte-for-byte what flatten() (+ transpileToNative()) of
  * pauliTwirl()'s output produces -- same instructions, same order,
  * same barriers -- so scheduling it yields schedules byte-identical
- * to the twirl-first pipeline.  `frames`, when given, receives the
- * number of non-identity frame gates before native lowering (the
- * kTwirlGatesKey convention); `frame_insts`, when given, receives
- * the sampled pre-lowering frame instructions per target (for the
- * scheduled CA-EC walk).
+ * to compileReference() (pipeline.hh).  `frames`, when given,
+ * receives the number of non-identity frame gates before native
+ * lowering (the kTwirlGatesKey convention); `frame_insts`, when
+ * given, receives the sampled pre-lowering frame instructions per
+ * target (for the scheduled CA-EC walk).
  */
 Circuit lateTwirl(const Circuit &flat, const TwirlPlan &plan,
                   Rng &rng, TwirlTableCache &cache,

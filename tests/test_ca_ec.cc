@@ -238,13 +238,13 @@ TEST(CaEc, StatsCountConditionalRules)
     EXPECT_GE(stats.conditionalRz, 1);
 }
 
-// ------------------- scheduled walk vs legacy layered walk -------
+// ------------------- scheduled walk vs layered reference walk ----
 //
 // The scheduled-representation CA-EC pipeline (ca-ec-plan ->
 // flatten -> (transpile) -> late-twirl -> ca-ec on the flat stream)
-// must produce schedules byte-identical to the historical
-// twirl-first ordering with the layered walk, for every CA-EC
-// strategy, thread count, and lowering mode.
+// must produce schedules byte-identical to compileReference(), the
+// seed composition that twirls first and runs the layered walk, for
+// every CA-EC strategy, thread count, and lowering mode.
 
 const std::vector<Strategy> &
 caecStrategies()
@@ -349,6 +349,26 @@ expectSameSchedule(const ScheduledCircuit &a,
     }
 }
 
+/**
+ * compileReference() per instance, instance k seeded (seed,
+ * k + 7001) exactly as PassManager::runEnsemble() seeds it.
+ */
+std::vector<ScheduledCircuit>
+referenceEnsemble(const CompileOptions &options,
+                  const LayeredCircuit &circuit,
+                  const Backend &backend, int instances,
+                  std::uint64_t seed)
+{
+    std::vector<ScheduledCircuit> reference;
+    const Rng master(seed);
+    for (int k = 0; k < instances; ++k) {
+        Rng rng = master.derive(std::uint64_t(k) + 7001);
+        reference.push_back(
+            compileReference(circuit, backend, options, rng));
+    }
+    return reference;
+}
+
 EnsembleResult
 runCaecStrategy(const CompileOptions &options,
                 const LayeredCircuit &circuit,
@@ -372,28 +392,25 @@ TEST(CaEcScheduled, ByteIdenticalToLegacyForEveryCaecStrategy)
 
     for (Strategy strategy : caecStrategies()) {
         for (bool native : {false, true}) {
-            CompileOptions first;
-            first.strategy = strategy;
-            first.lowerToNative = native;
-            first.lateTwirl = false;
-            const EnsembleResult reference = runCaecStrategy(
-                first, circuit, backend, instances, seed, 1);
+            CompileOptions options;
+            options.strategy = strategy;
+            options.lowerToNative = native;
+            const std::vector<ScheduledCircuit> reference =
+                referenceEnsemble(options, circuit, backend,
+                                  instances, seed);
 
-            CompileOptions late;
-            late.strategy = strategy;
-            late.lowerToNative = native;
             for (unsigned threads : {1u, 8u}) {
                 const EnsembleResult result =
-                    runCaecStrategy(late, circuit, backend,
+                    runCaecStrategy(options, circuit, backend,
                                     instances, seed, threads);
                 EXPECT_GT(result.prefixHits, 0u);
                 ASSERT_EQ(result.instances.size(),
-                          reference.instances.size());
+                          reference.size());
                 for (std::size_t k = 0;
                      k < result.instances.size(); ++k)
                     expectSameSchedule(
                         result.instances[k].scheduled,
-                        reference.instances[k].scheduled,
+                        reference[k],
                         strategyName(strategy) +
                             (native ? " native" : "") +
                             " instance " + std::to_string(k) +
@@ -413,23 +430,18 @@ TEST(CaEcScheduled, DynamicRuleMatchesLegacy)
     const Backend backend = makeFakeLinear(5, 7);
     const LayeredCircuit circuit = scheduledWalkWorkload();
 
-    CompileOptions first;
-    first.strategy = Strategy::Ec;
-    first.lateTwirl = false;
-    const EnsembleResult reference =
-        runCaecStrategy(first, circuit, backend, 4, 7, 1);
-
-    CompileOptions late;
-    late.strategy = Strategy::Ec;
+    CompileOptions options;
+    options.strategy = Strategy::Ec;
+    const std::vector<ScheduledCircuit> reference =
+        referenceEnsemble(options, circuit, backend, 4, 7);
     const EnsembleResult result =
-        runCaecStrategy(late, circuit, backend, 4, 7, 1);
+        runCaecStrategy(options, circuit, backend, 4, 7, 1);
 
-    ASSERT_EQ(result.instances.size(),
-              reference.instances.size());
+    ASSERT_EQ(result.instances.size(), reference.size());
     bool any_conditional = false;
     for (std::size_t k = 0; k < result.instances.size(); ++k) {
         expectSameSchedule(result.instances[k].scheduled,
-                           reference.instances[k].scheduled,
+                           reference[k],
                            "dynamic instance " +
                                std::to_string(k));
         for (const TimedInstruction &timed :

@@ -171,17 +171,29 @@ TEST(RunEnsemble, PrefixCacheIsExactForLateStochasticPipeline)
     }
 }
 
+/** Stochastic Layered-stage pass: twirls before any lowering. */
+class LayeredTwirlPass : public Pass
+{
+  public:
+    std::string name() const override { return "layered-twirl"; }
+    bool isStochastic() const override { return true; }
+
+    void
+    run(PassContext &context) override
+    {
+        context.setLayered(pauliTwirl(context.layered(), context.rng()));
+    }
+};
+
 TEST(RunEnsemble, StochasticFirstPassBypassesCache)
 {
-    // A pipeline that starts with the stochastic twirl pass (the
-    // historical stock ordering; stock pipelines now twirl late)
-    // must cache nothing -- a shared twirl would correlate the
-    // ensemble -- and the results must still match the serial
-    // reference exactly.
+    // A pipeline that starts with a stochastic pass must cache
+    // nothing -- a shared twirl would correlate the ensemble -- and
+    // the results must still match the serial reference exactly.
     const Backend backend = testBackend();
     const LayeredCircuit circuit = workload();
     PassManager pipeline;
-    pipeline.emplace<TwirlPass>();
+    pipeline.emplace<LayeredTwirlPass>();
     pipeline.emplace<FlattenPass>();
     pipeline.emplace<SchedulePass>();
     pipeline.emplace<CaDdPass>();

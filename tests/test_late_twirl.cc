@@ -1,10 +1,13 @@
 /**
  * @file
  * Late twirling on the cached prefix (TwirlPlanPass +
- * LateTwirlPass): per-instance schedules byte-identical to the
- * twirl-first ordering at the same seed across thread counts, and
- * prefix-cache engagement for every stock strategy.
+ * LateTwirlPass): per-instance schedules byte-identical to
+ * compileReference() -- the seed's twirl-first composition -- at
+ * the same seed across thread counts, and prefix-cache engagement
+ * for every stock strategy.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -126,37 +129,46 @@ runStrategy(const CompileOptions &options,
     return pipeline.runEnsemble(circuit, backend, ensemble);
 }
 
+/**
+ * The stock pipeline's ensemble on {1, 8} threads must equal
+ * compileReference() instance by instance, instance k seeded
+ * (seed, k + 7001) exactly as PassManager::runEnsemble() seeds it.
+ */
+void
+expectMatchesReference(const CompileOptions &options,
+                       const LayeredCircuit &circuit,
+                       const Backend &backend, int instances,
+                       std::uint64_t seed, const std::string &what)
+{
+    std::vector<ScheduledCircuit> reference;
+    const Rng master(seed);
+    for (int k = 0; k < instances; ++k) {
+        Rng rng = master.derive(std::uint64_t(k) + 7001);
+        reference.push_back(
+            compileReference(circuit, backend, options, rng));
+    }
+    for (unsigned threads : {1u, 8u}) {
+        const EnsembleResult result = runStrategy(
+            options, circuit, backend, instances, seed, threads);
+        ASSERT_EQ(result.instances.size(), reference.size()) << what;
+        for (std::size_t k = 0; k < reference.size(); ++k)
+            expectSameSchedule(result.instances[k].scheduled,
+                               reference[k],
+                               what + " instance " +
+                                   std::to_string(k) + " threads " +
+                                   std::to_string(threads));
+    }
+}
+
 TEST(LateTwirl, ByteIdenticalToTwirlFirstForEveryStockStrategy)
 {
     const Backend backend = testBackend();
     const LayeredCircuit circuit = workload();
-    const int instances = 6;
-    const std::uint64_t seed = 2024;
-
     for (Strategy strategy : allStrategies()) {
-        CompileOptions first;
-        first.strategy = strategy;
-        first.lateTwirl = false;
-        const EnsembleResult reference = runStrategy(
-            first, circuit, backend, instances, seed, 1);
-
-        CompileOptions late;
-        late.strategy = strategy;
-        for (unsigned threads : {1u, 8u}) {
-            const EnsembleResult result = runStrategy(
-                late, circuit, backend, instances, seed, threads);
-            ASSERT_EQ(result.instances.size(),
-                      reference.instances.size());
-            for (std::size_t k = 0; k < result.instances.size();
-                 ++k) {
-                expectSameSchedule(
-                    result.instances[k].scheduled,
-                    reference.instances[k].scheduled,
-                    strategyName(strategy) + " instance " +
-                        std::to_string(k) + " threads " +
-                        std::to_string(threads));
-            }
-        }
+        CompileOptions options;
+        options.strategy = strategy;
+        expectMatchesReference(options, circuit, backend, 6, 2024,
+                               strategyName(strategy));
     }
 }
 
@@ -168,28 +180,12 @@ TEST(LateTwirl, ByteIdenticalToTwirlFirstLoweredToNative)
     // identities so the conjugation tables still match.
     const Backend backend = testBackend();
     const LayeredCircuit circuit = workload();
-
-    for (Strategy strategy : {Strategy::None, Strategy::CaDd}) {
-        CompileOptions first;
-        first.strategy = strategy;
-        first.lowerToNative = true;
-        first.lateTwirl = false;
-        const EnsembleResult reference =
-            runStrategy(first, circuit, backend, 4, 99, 1);
-
-        CompileOptions late;
-        late.strategy = strategy;
-        late.lowerToNative = true;
-        const EnsembleResult result =
-            runStrategy(late, circuit, backend, 4, 99, 8);
-        ASSERT_EQ(result.instances.size(),
-                  reference.instances.size());
-        for (std::size_t k = 0; k < result.instances.size(); ++k)
-            expectSameSchedule(result.instances[k].scheduled,
-                               reference.instances[k].scheduled,
-                               strategyName(strategy) +
-                                   " native instance " +
-                                   std::to_string(k));
+    for (Strategy strategy : allStrategies()) {
+        CompileOptions options;
+        options.strategy = strategy;
+        options.lowerToNative = true;
+        expectMatchesReference(options, circuit, backend, 4, 99,
+                               strategyName(strategy) + " native");
     }
 }
 
@@ -250,7 +246,8 @@ TEST(LateTwirl, PlanCapturesTwoQubitGatesInSamplingOrder)
     const LayeredCircuit circuit = workload();
     const TwirlPlan plan = makeTwirlPlan(circuit);
     ASSERT_EQ(plan.targets.size(), 3u);
-    EXPECT_EQ(plan.layerCount, circuit.layers().size());
+    EXPECT_EQ(plan.innerBarriers,
+              std::vector<std::size_t>(circuit.layers().size(), 0));
     EXPECT_EQ(plan.gateCount(), circuit.countTwoQubitGates());
     EXPECT_EQ(plan.targets[0].layer, 0u);
     ASSERT_EQ(plan.targets[1].gates.size(), 2u);
@@ -259,62 +256,104 @@ TEST(LateTwirl, PlanCapturesTwoQubitGatesInSamplingOrder)
     EXPECT_EQ(plan.targets[2].layer, 6u);
 }
 
-TEST(LateTwirl, BarrierInsideALayerStaysCompilableTwirlFirst)
+/**
+ * workload() with barriers inside layers.  Partial: a {4} barrier
+ * beside the first ECR layer's gates and a {2,3} barrier beside an
+ * sx.  Full-width: a layer holding only an all-qubit barrier, once
+ * mid-circuit and once as the last layer.  Only full-width barriers
+ * look like the layer boundaries flatten() emits.
+ */
+LayeredCircuit
+barrierWorkload(bool full_width)
 {
-    // addLayer() accepts a Barrier instruction inside a layer.
-    // Segment recovery cannot handle one (it would shift every
-    // segment after it), so the plan records the fact for
-    // lateTwirl() to reject -- but the twirl-first ordering must
-    // keep compiling such circuits exactly as before.
+    const LayeredCircuit base = workload();
+    LayeredCircuit circuit(base.numQubits(), base.numClbits());
+    const auto barrier_layer = [&](std::vector<std::uint32_t> qubits) {
+        Layer layer{LayerKind::OneQubit, {}};
+        layer.insts.emplace_back(Op::Barrier, std::move(qubits));
+        return layer;
+    };
+    for (std::size_t li = 0; li < base.layers().size(); ++li) {
+        Layer layer = base.layers()[li];
+        if (li == 0 && !full_width)
+            layer.insts.emplace_back(Op::Barrier,
+                                     std::vector<std::uint32_t>{4});
+        circuit.addLayer(std::move(layer));
+        if (li != 1)
+            continue;
+        if (full_width) {
+            circuit.addLayer(barrier_layer({0, 1, 2, 3, 4}));
+        } else {
+            Layer mixed = barrier_layer({2, 3});
+            mixed.insts.emplace_back(Op::SX,
+                                     std::vector<std::uint32_t>{0});
+            circuit.addLayer(std::move(mixed));
+        }
+    }
+    if (full_width)
+        circuit.addLayer(barrier_layer({0, 1, 2, 3, 4}));
+    return circuit;
+}
+
+TEST(LateTwirl, BarrierInsideALayerMatchesReference)
+{
+    // Segment recovery splits only on full-width barriers, and the
+    // plans count the ones a layer holds itself, so both kinds of
+    // in-layer barrier compile under the stock pipeline -- late
+    // twirl and the scheduled CA-EC walk alike -- byte-identical to
+    // the reference composition.
     const Backend backend = testBackend();
-    LayeredCircuit circuit(5, 0);
-    Layer gates{LayerKind::TwoQubit, {}};
-    gates.insts.emplace_back(Op::ECR,
-                             std::vector<std::uint32_t>{0, 1});
-    circuit.addLayer(std::move(gates));
-    Layer odd{LayerKind::OneQubit, {}};
-    odd.insts.emplace_back(Op::Barrier,
-                           std::vector<std::uint32_t>{2, 3});
-    circuit.addLayer(std::move(odd));
-
-    EXPECT_FALSE(makeTwirlPlan(circuit).barrierFree);
-
-    CompileOptions first;
-    first.lateTwirl = false;
-    Rng rng(1);
-    const ScheduledCircuit sched =
-        compileCircuit(circuit, backend, first, rng);
-    EXPECT_GT(sched.instructions().size(), 0u);
+    for (bool full_width : {false, true}) {
+        const LayeredCircuit circuit = barrierWorkload(full_width);
+        const std::vector<std::size_t> inner =
+            makeTwirlPlan(circuit).innerBarriers;
+        EXPECT_EQ(std::count(inner.begin(), inner.end(), 1u),
+                  full_width ? 2 : 0);
+        for (Strategy strategy :
+             {Strategy::None, Strategy::CaDd, Strategy::Ec,
+              Strategy::Combined}) {
+            for (bool native : {false, true}) {
+                CompileOptions options;
+                options.strategy = strategy;
+                options.lowerToNative = native;
+                expectMatchesReference(
+                    options, circuit, backend, 4, 31,
+                    strategyName(strategy) +
+                        (full_width ? " full-width" : " partial") +
+                        (native ? " native" : ""));
+            }
+        }
+    }
 }
 
 TEST(LateTwirl, LateTwirlPassCountsFramesLikeTwirlFirst)
 {
-    // kTwirlGatesKey keeps the pre-lowering frame count in both
-    // orderings.
+    // kTwirlGatesKey is the pre-lowering frame count: exactly the
+    // Twirl-tagged gates pauliTwirl() inserts at the same rng, with
+    // or without native lowering.
     const Backend backend = testBackend();
     const LayeredCircuit circuit = workload();
 
-    CompileOptions late;
-    Rng late_rng(5);
-    PassManager late_pipeline = buildPipeline(late);
-    const CompilationResult late_result =
-        late_pipeline.compile(circuit, backend, late_rng);
+    Rng twirl_rng(5);
+    const LayeredCircuit twirled = pauliTwirl(circuit, twirl_rng);
+    std::size_t expected = 0;
+    for (const Layer &layer : twirled.layers())
+        for (const Instruction &inst : layer.insts)
+            expected += inst.tag == InstTag::Twirl;
+    EXPECT_GT(expected, 0u);
 
-    CompileOptions first;
-    first.lateTwirl = false;
-    Rng first_rng(5);
-    PassManager first_pipeline = buildPipeline(first);
-    const CompilationResult first_result =
-        first_pipeline.compile(circuit, backend, first_rng);
-
-    const auto *late_gates =
-        late_result.property<std::size_t>(kTwirlGatesKey);
-    const auto *first_gates =
-        first_result.property<std::size_t>(kTwirlGatesKey);
-    ASSERT_NE(late_gates, nullptr);
-    ASSERT_NE(first_gates, nullptr);
-    EXPECT_EQ(*late_gates, *first_gates);
-    EXPECT_GT(*late_gates, 0u);
+    for (bool native : {false, true}) {
+        CompileOptions options;
+        options.lowerToNative = native;
+        PassManager pipeline = buildPipeline(options);
+        Rng rng(5);
+        const CompilationResult result =
+            pipeline.compile(circuit, backend, rng);
+        const auto *gates =
+            result.property<std::size_t>(kTwirlGatesKey);
+        ASSERT_NE(gates, nullptr);
+        EXPECT_EQ(*gates, expected) << "native=" << native;
+    }
 }
 
 } // namespace

@@ -119,18 +119,6 @@ TEST(PassManager, PassNamesAndContains)
     EXPECT_FALSE(manager.contains("ca-ec"));
     EXPECT_TRUE(manager.stochastic());
 
-    PassManager first = buildPipeline([] {
-        CompileOptions options;
-        options.strategy = Strategy::CaDd;
-        options.lateTwirl = false;
-        return options;
-    }());
-    const std::vector<std::string> twirl_first{
-        "twirl-plan", "pauli-twirl", "flatten", "schedule-asap",
-        "ca-dd"};
-    EXPECT_EQ(first.passNames(), twirl_first);
-    EXPECT_EQ(first.stochasticPrefixLength(), 1u);
-
     PassManager caec = buildPipeline(Strategy::Combined);
     // CA-EC runs on the flat stream after late-twirl, fed by the
     // deterministic ca-ec-plan blueprint, so the whole lowering
@@ -247,8 +235,12 @@ TEST(PassManager, TwirlPassPublishesGateCount)
     Rng rng(3);
     PassContext context(circuit, backend, rng);
 
+    // The twirl stage of the stock pipeline: plan on the layered
+    // circuit, then insert the frames into the flattened stream.
     PassManager manager;
-    manager.emplace<TwirlPass>();
+    manager.emplace<TwirlPlanPass>();
+    manager.emplace<FlattenPass>();
+    manager.emplace<LateTwirlPass>();
     manager.run(context);
 
     // Two ECR layers, each twirled with a Pauli pair before and
@@ -278,73 +270,9 @@ TEST(PassManager, CaEcPassPublishesStats)
 // ------------------------------------------------------------------
 // Equivalence with the seed implementation: the strategy pipelines
 // assembled by buildPipeline() must reproduce, byte for byte, the
-// schedules of the original hardcoded switch under the same RNG.
+// schedules of the original hardcoded composition
+// (compileReference()) under the same RNG.
 // ------------------------------------------------------------------
-
-/** The seed's compileCircuit, kept verbatim as the reference. */
-ScheduledCircuit
-legacyCompileCircuit(const LayeredCircuit &logical,
-                     const Backend &backend,
-                     const CompileOptions &options, Rng &rng)
-{
-    LayeredCircuit layered = logical;
-    if (options.twirl)
-        layered = pauliTwirl(layered, rng);
-
-    switch (options.strategy) {
-      case Strategy::Ec:
-        layered = applyCaEc(layered, backend, options.caec);
-        break;
-      case Strategy::EcAlignedDd: {
-        CaecOptions caec = options.caec;
-        caec.compensateZ = false;
-        caec.starkCompensation = false;
-        layered = applyCaEc(layered, backend, caec);
-        break;
-      }
-      case Strategy::Combined: {
-        CaecOptions caec = caecActiveOnlyOptions();
-        caec.assumedDynamicIdleNs =
-            options.caec.assumedDynamicIdleNs;
-        layered = applyCaEc(layered, backend, caec);
-        break;
-      }
-      default:
-        break;
-    }
-
-    Circuit flat = layered.flatten();
-    if (options.lowerToNative)
-        flat = transpileToNative(flat, options.transpile);
-
-    ScheduledCircuit scheduled =
-        scheduleASAP(flat, backend.durations());
-
-    switch (options.strategy) {
-      case Strategy::DdAligned:
-        scheduled = applyUniformDd(scheduled, backend.durations(),
-                                   UniformDdStyle::Aligned,
-                                   options.cadd.minDuration);
-        break;
-      case Strategy::DdStaggered:
-        scheduled = applyUniformDd(scheduled, backend.durations(),
-                                   UniformDdStyle::StaggeredByParity,
-                                   options.cadd.minDuration);
-        break;
-      case Strategy::EcAlignedDd:
-        scheduled = applyUniformDd(scheduled, backend.durations(),
-                                   UniformDdStyle::Aligned,
-                                   options.cadd.minDuration);
-        break;
-      case Strategy::CaDd:
-      case Strategy::Combined:
-        scheduled = applyCaDd(scheduled, backend, options.cadd);
-        break;
-      default:
-        break;
-    }
-    return scheduled;
-}
 
 /** A workload exercising gates, idles, and parallel ECR contexts. */
 LayeredCircuit
@@ -366,23 +294,36 @@ TEST(PassManager, BuildPipelineMatchesLegacyForEveryStrategy)
     const Backend backend = testBackend();
     const LayeredCircuit circuit = equivalenceWorkload();
 
+    // The CA-EC knobs the CLI exposes (--caec-min-angle,
+    // --caec-no-rzz) must reach the reference for every CA-EC
+    // strategy, ca-ec+dd's active-only preset included.  On this
+    // workload a 0.3 rad threshold is the one that moves ca-ec+dd.
+    std::vector<CaecOptions> caec_cases(4);
+    caec_cases[1].minAngle = 0.05;
+    caec_cases[2].minAngle = 0.3;
+    caec_cases[3].insertRzz = false;
     for (Strategy strategy : allStrategies()) {
         for (bool twirl : {false, true}) {
-            CompileOptions options;
-            options.strategy = strategy;
-            options.twirl = twirl;
+            for (const CaecOptions &caec : caec_cases) {
+                CompileOptions options;
+                options.strategy = strategy;
+                options.twirl = twirl;
+                options.caec = caec;
 
-            Rng legacy_rng(42);
-            const ScheduledCircuit expected = legacyCompileCircuit(
-                circuit, backend, options, legacy_rng);
+                Rng reference_rng(42);
+                const ScheduledCircuit expected = compileReference(
+                    circuit, backend, options, reference_rng);
 
-            Rng rng(42);
-            const ScheduledCircuit actual =
-                compileCircuit(circuit, backend, options, rng);
+                Rng rng(42);
+                const ScheduledCircuit actual =
+                    compileCircuit(circuit, backend, options, rng);
 
-            EXPECT_EQ(actual.toString(), expected.toString())
-                << "strategy " << strategyName(strategy)
-                << " twirl=" << twirl;
+                EXPECT_EQ(actual.toString(), expected.toString())
+                    << "strategy " << strategyName(strategy)
+                    << " twirl=" << twirl << " minAngle="
+                    << caec.minAngle
+                    << " insertRzz=" << caec.insertRzz;
+            }
         }
     }
 }
@@ -396,9 +337,9 @@ TEST(PassManager, BuildPipelineMatchesLegacyLoweredToNative)
         options.strategy = strategy;
         options.lowerToNative = true;
 
-        Rng legacy_rng(7);
-        const ScheduledCircuit expected = legacyCompileCircuit(
-            circuit, backend, options, legacy_rng);
+        Rng reference_rng(7);
+        const ScheduledCircuit expected = compileReference(
+            circuit, backend, options, reference_rng);
 
         Rng rng(7);
         const ScheduledCircuit actual =
@@ -412,7 +353,7 @@ TEST(PassManager, BuildPipelineMatchesLegacyLoweredToNative)
 TEST(PassManager, ReusedPipelineMatchesLegacyEnsemble)
 {
     // One manager reused across the ensemble (sharing its twirl
-    // table cache) must match per-instance legacy compilation.
+    // table cache) must match per-instance compileReference().
     const Backend backend = testBackend();
     const LayeredCircuit circuit = equivalenceWorkload();
     CompileOptions options;
@@ -426,8 +367,8 @@ TEST(PassManager, ReusedPipelineMatchesLegacyEnsemble)
     const Rng master(seed);
     for (int k = 0; k < instances; ++k) {
         Rng rng = master.derive(std::uint64_t(k) + 7001);
-        expected.push_back(legacyCompileCircuit(circuit, backend,
-                                                options, rng));
+        expected.push_back(
+            compileReference(circuit, backend, options, rng));
     }
 
     PassManager pipeline = buildPipeline(options);

@@ -19,10 +19,10 @@ namespace casq {
 namespace {
 
 /**
- * Small but representative job: twirled CA-DD (a fused twirl-first
- * pipeline, so the stochastic prefix covers the whole pipeline),
- * M = 7 instances and 61 trajectories so that neither divides the
- * shard counts below evenly.
+ * Small but representative job: twirled CA-DD through the stock
+ * pipeline (deterministic prefix, late-twirl suffix), M = 7
+ * instances and 61 trajectories so that neither divides the shard
+ * counts below evenly.
  */
 ShardSpec
 testSpec(std::uint32_t shard_index = 0,
