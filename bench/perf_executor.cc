@@ -26,7 +26,9 @@
  *
  *  - "kern-*": the specialized statevector kernels against
  *    straightforward per-amplitude reference loops, cross-checked
- *    elementwise before timing.
+ *    elementwise before timing.  "kern-phases-seg" is the fused
+ *    phase call of one standard-noise segment on the 8-qubit chain
+ *    (two Z terms per qubit, chain and next-nearest ZZ).
  *
  * Every engine configuration's RunResult (means AND stderrs) is
  * byte-compared against its reference before its timing is
@@ -520,21 +522,37 @@ main(int argc, char **argv)
         for (std::uint32_t q = 0; q + 1 < kq; ++q)
             zzs.push_back({q, q + 1, 0.005 * double(q + 1)});
 
+        // What a standard-noise segment hands the kernel on the
+        // 8-qubit chain: a merged deterministic Z and a stochastic Z
+        // per qubit, chain and next-nearest ZZ.
+        constexpr std::size_t sq = 8;
+        std::vector<QubitAngle> seg_zs;
+        std::vector<PairAngle> seg_zzs;
+        for (std::uint32_t q = 0; q < sq; ++q)
+            seg_zs.push_back({q, -0.004 * double(q + 1)});
+        for (std::uint32_t q = 0; q < sq; ++q)
+            seg_zs.push_back({q, 0.013 * double(q % 3) - 0.011});
+        for (std::uint32_t q = 0; q + 1 < sq; ++q)
+            seg_zzs.push_back({q, q + 1, 0.006 * double(q + 1)});
+        for (std::uint32_t q = 0; q + 2 < sq; ++q)
+            seg_zzs.push_back({q, q + 2, 0.0015 * double(q + 1)});
+
         struct Kernel
         {
             const char *name;
+            std::size_t qubits;
             std::function<void(Statevector &, int)> fast;
             std::function<void(Statevector &, int)> ref;
         };
         const std::vector<Kernel> kernels = {
-            {"kern-1q",
+            {"kern-1q", kq,
              [&](Statevector &sv, int r) {
                  sv.applyGate1q(u1, std::uint32_t(r) % kq);
              },
              [&](Statevector &sv, int r) {
                  refGate1q(sv, u1, std::uint32_t(r) % kq);
              }},
-            {"kern-2q",
+            {"kern-2q", kq,
              [&](Statevector &sv, int r) {
                  const std::uint32_t q0 = std::uint32_t(r) % kq;
                  sv.applyGate2q(u2, q0, (q0 + 1) % kq);
@@ -543,10 +561,17 @@ main(int argc, char **argv)
                  const std::uint32_t q0 = std::uint32_t(r) % kq;
                  refGate2q(sv, u2, q0, (q0 + 1) % kq);
              }},
-            {"kern-phases",
+            {"kern-phases", kq,
              [&](Statevector &sv, int) { sv.applyPhases(zs, zzs); },
              [&](Statevector &sv, int) { refPhases(sv, zs, zzs); }},
-            {"kern-rzz",
+            {"kern-phases-seg", sq,
+             [&](Statevector &sv, int) {
+                 sv.applyPhases(seg_zs, seg_zzs);
+             },
+             [&](Statevector &sv, int) {
+                 refPhases(sv, seg_zs, seg_zzs);
+             }},
+            {"kern-rzz", kq,
              [&](Statevector &sv, int r) {
                  const std::uint32_t q0 = std::uint32_t(r) % kq;
                  sv.applyRzz(q0, (q0 + 1) % kq, 0.1375);
@@ -560,12 +585,15 @@ main(int argc, char **argv)
         };
 
         std::cout << "kernel microbench (" << kq << " qubits, "
-                  << reps << " reps, per-amplitude reference):\n";
+                  << reps << " reps; the " << sq
+                  << "-qubit segment shape runs as many more reps as "
+                     "keep the amplitude work equal; per-amplitude "
+                     "reference):\n";
         Rng rng(0xBE9Cull + options.seed);
         for (const Kernel &k : kernels) {
-            Statevector fast_sv(kq);
+            Statevector fast_sv(k.qubits);
             fillRandom(fast_sv, rng);
-            Statevector ref_sv(kq);
+            Statevector ref_sv(k.qubits);
             ref_sv.copyFrom(fast_sv);
 
             // Correctness sweep over every rotated qubit choice.
@@ -575,27 +603,28 @@ main(int argc, char **argv)
             }
             requireKernelAgreement(fast_sv, ref_sv, k.name);
 
+            const int k_reps = reps << (kq - k.qubits);
             begin = std::chrono::steady_clock::now();
-            for (int r = 0; r < reps; ++r)
+            for (int r = 0; r < k_reps; ++r)
                 k.fast(fast_sv, r);
             const double fast_ms = wallMillisSince(begin);
             begin = std::chrono::steady_clock::now();
-            for (int r = 0; r < reps; ++r)
+            for (int r = 0; r < k_reps; ++r)
                 k.ref(ref_sv, r);
             const double ref_ms = wallMillisSince(begin);
 
             Sample fast_sample;
             fast_sample.config = k.name;
             fast_sample.wallMillis = fast_ms;
-            fast_sample.trajectories = reps;
+            fast_sample.trajectories = k_reps;
             Sample ref_sample;
             ref_sample.config = std::string(k.name) + "-ref";
             ref_sample.wallMillis = ref_ms;
-            ref_sample.trajectories = reps;
+            ref_sample.trajectories = k_reps;
             extra.push_back(fast_sample);
             extra.push_back(ref_sample);
 
-            std::cout << "  " << std::left << std::setw(12)
+            std::cout << "  " << std::left << std::setw(16)
                       << k.name << std::right << std::fixed
                       << std::setprecision(3) << std::setw(10)
                       << fast_ms << " ms   ref " << std::setw(10)

@@ -30,7 +30,11 @@ struct StochasticQubit
     double tau;
 };
 
-/** Precomputed noise plan of one timeline segment. */
+/**
+ * Precomputed noise plan of one timeline segment.  Its Z/ZZ entries
+ * carry their unit phase factors, computed once when the variant is
+ * built, so replaying the plan does no trig.
+ */
 struct SegmentPlan
 {
     std::vector<QubitAngle> detZ;
@@ -609,7 +613,9 @@ class TrajectoryRunner
         // applyPhases consumes.  The per-source contributions sum
         // in composition order; sources that draw (the dephasing
         // jump) do so inside their segmentPhase, so the stream
-        // stays per-qubit-ordered.
+        // stays per-qubit-ordered.  The copied deterministic entries
+        // keep their unit factors; only the stochastic entries
+        // appended here compute theirs.
         _zBuffer.assign(plan.detZ.begin(), plan.detZ.end());
         for (const auto &sq : plan.stoch) {
             double theta = 0.0;

@@ -9,16 +9,26 @@ namespace casq {
 namespace {
 
 /**
- * Per-term factor pair for the fused phase kernel: `f0` multiplies
- * amplitudes where the term's parity bit is 0, `f1` where it is 1.
+ * (a + bi)(c + di) = (ac - bd, ad + bc).  On finite operands this is
+ * bit-identical to std::complex<double>::operator*, which computes
+ * the same four products and two sums and only adds a NaN check
+ * that calls __muldc3; without that branch the loops below are
+ * straight-line code the compiler may vectorize.
  */
-struct PhaseFactor
+inline Complex
+mul(const Complex &x, const Complex &y)
 {
-    Complex f0;
-    Complex f1;
-};
+    return Complex(x.real() * y.real() - x.imag() * y.imag(),
+                   x.real() * y.imag() + x.imag() * y.real());
+}
 
 } // namespace
+
+Complex
+unitPhase(double theta)
+{
+    return Complex(std::cos(theta * 0.5), std::sin(theta * 0.5));
+}
 
 Statevector::Statevector(std::size_t num_qubits)
     : _numQubits(num_qubits),
@@ -46,6 +56,7 @@ Statevector::copyFrom(const Statevector &other)
 void
 Statevector::applyGate1q(const CMat &u, std::uint32_t q)
 {
+    casq_assert(q < _numQubits, "qubit ", q, " out of range");
     const std::size_t half = std::size_t(1) << q;
     const Complex u00 = u(0, 0), u01 = u(0, 1);
     const Complex u10 = u(1, 0), u11 = u(1, 1);
@@ -57,8 +68,8 @@ Statevector::applyGate1q(const CMat &u, std::uint32_t q)
         for (std::size_t off = 0; off < half; ++off) {
             const Complex a = lo[off];
             const Complex b = hi[off];
-            lo[off] = u00 * a + u01 * b;
-            hi[off] = u10 * a + u11 * b;
+            lo[off] = mul(u00, a) + mul(u01, b);
+            hi[off] = mul(u10, a) + mul(u11, b);
         }
     }
 }
@@ -67,6 +78,8 @@ void
 Statevector::applyGate2q(const CMat &u, std::uint32_t q0,
                          std::uint32_t q1)
 {
+    casq_assert(q0 < _numQubits && q1 < _numQubits, "qubit pair (",
+                q0, ", ", q1, ") out of range");
     const std::size_t m0 = std::size_t(1) << q0;
     const std::size_t m1 = std::size_t(1) << q1;
     Complex m[4][4];
@@ -87,14 +100,14 @@ Statevector::applyGate2q(const CMat &u, std::uint32_t q0,
                 const std::size_t i3 = i | m0 | m1;
                 const Complex v0 = amps[i], v1 = amps[i1];
                 const Complex v2 = amps[i2], v3 = amps[i3];
-                amps[i] = m[0][0] * v0 + m[0][1] * v1 +
-                          m[0][2] * v2 + m[0][3] * v3;
-                amps[i1] = m[1][0] * v0 + m[1][1] * v1 +
-                           m[1][2] * v2 + m[1][3] * v3;
-                amps[i2] = m[2][0] * v0 + m[2][1] * v1 +
-                           m[2][2] * v2 + m[2][3] * v3;
-                amps[i3] = m[3][0] * v0 + m[3][1] * v1 +
-                           m[3][2] * v2 + m[3][3] * v3;
+                amps[i] = mul(m[0][0], v0) + mul(m[0][1], v1) +
+                          mul(m[0][2], v2) + mul(m[0][3], v3);
+                amps[i1] = mul(m[1][0], v0) + mul(m[1][1], v1) +
+                           mul(m[1][2], v2) + mul(m[1][3], v3);
+                amps[i2] = mul(m[2][0], v0) + mul(m[2][1], v1) +
+                           mul(m[2][2], v2) + mul(m[2][3], v3);
+                amps[i3] = mul(m[3][0], v0) + mul(m[3][1], v1) +
+                           mul(m[3][2], v2) + mul(m[3][3], v3);
             }
         }
     }
@@ -103,6 +116,7 @@ Statevector::applyGate2q(const CMat &u, std::uint32_t q0,
 void
 Statevector::applyRz(std::uint32_t q, double theta)
 {
+    casq_assert(q < _numQubits, "qubit ", q, " out of range");
     const std::size_t half = std::size_t(1) << q;
     const Complex p0 = std::exp(Complex(0, -theta * 0.5));
     const Complex p1 = std::exp(Complex(0, theta * 0.5));
@@ -112,9 +126,9 @@ Statevector::applyRz(std::uint32_t q, double theta)
         Complex *lo = amps + base;
         Complex *hi = lo + half;
         for (std::size_t off = 0; off < half; ++off)
-            lo[off] *= p0;
+            lo[off] = mul(lo[off], p0);
         for (std::size_t off = 0; off < half; ++off)
-            hi[off] *= p1;
+            hi[off] = mul(hi[off], p1);
     }
 }
 
@@ -122,14 +136,21 @@ void
 Statevector::applyRzz(std::uint32_t q0, std::uint32_t q1,
                       double theta)
 {
+    applyRzzUnit(q0, q1, unitPhase(theta));
+}
+
+void
+Statevector::applyRzzUnit(std::uint32_t q0, std::uint32_t q1,
+                          const Complex &odd)
+{
+    casq_assert(q0 < _numQubits && q1 < _numQubits, "qubit pair (",
+                q0, ", ", q1, ") out of range");
     casq_assert(q0 != q1, "applyRzz needs distinct qubits");
     const std::size_t mlo = std::size_t(1)
                             << (q0 < q1 ? q0 : q1);
     const std::size_t mhi = std::size_t(1)
                             << (q0 < q1 ? q1 : q0);
     // Rzz eigenphase: -theta/2 on even parity, +theta/2 on odd.
-    const Complex odd(std::cos(theta * 0.5),
-                      std::sin(theta * 0.5));
     const Complex even = std::conj(odd);
     const std::size_t n = _amps.size();
     Complex *amps = _amps.data();
@@ -140,10 +161,10 @@ Statevector::applyRzz(std::uint32_t q0, std::uint32_t q1,
             Complex *b10 = b00 + mhi;
             Complex *b11 = b10 + mlo;
             for (std::size_t i = 0; i < mlo; ++i) {
-                b00[i] *= even;
-                b01[i] *= odd;
-                b10[i] *= odd;
-                b11[i] *= even;
+                b00[i] = mul(b00[i], even);
+                b01[i] = mul(b01[i], odd);
+                b10[i] = mul(b10[i], odd);
+                b11[i] = mul(b11[i], even);
             }
         }
     }
@@ -153,6 +174,13 @@ void
 Statevector::applyPhases(const std::vector<QubitAngle> &z_angles,
                          const std::vector<PairAngle> &zz_angles)
 {
+    for (const QubitAngle &za : z_angles)
+        casq_assert(za.qubit < _numQubits, "Z term on qubit ",
+                    za.qubit, " out of range");
+    for (const PairAngle &pa : zz_angles)
+        casq_assert(pa.q0 < _numQubits && pa.q1 < _numQubits,
+                    "ZZ term on (", pa.q0, ", ", pa.q1,
+                    ") out of range");
     if (z_angles.empty() && zz_angles.empty())
         return;
     if (zz_angles.empty() && z_angles.size() == 1) {
@@ -161,29 +189,22 @@ Statevector::applyPhases(const std::vector<QubitAngle> &z_angles,
     }
     if (z_angles.empty() && zz_angles.size() == 1 &&
         zz_angles[0].q0 != zz_angles[0].q1) {
-        applyRzz(zz_angles[0].q0, zz_angles[0].q1,
-                 zz_angles[0].theta);
+        applyRzzUnit(zz_angles[0].q0, zz_angles[0].q1,
+                     zz_angles[0].unit);
         return;
     }
 
     // Build a per-index Complex factor table by doubling over
-    // qubits, so trig calls scale with the term count instead of
-    // the state size.  The factor for index i is the product over
-    // terms of e^{+-i theta/2}, resolved at the term's highest
-    // qubit (for ZZ terms the sign depends on the lower bit of the
-    // already-built table index).
+    // qubits.  The factor for index i is the product over terms of
+    // e^{+-i theta/2}, resolved at the term's highest qubit (for ZZ
+    // terms the sign depends on the lower bit of the already-built
+    // table index).  The unit factors come with the entries, so no
+    // trig happens here.
     const std::size_t n = _amps.size();
     _phaseScratch.resize(n);
     Complex *table = _phaseScratch.data();
     table[0] = 1.0;
 
-    struct ZzAt
-    {
-        std::uint32_t qlo;
-        Complex e0; //!< even parity: e^{-i theta/2}
-        Complex e1; //!< odd parity: e^{+i theta/2}
-    };
-    std::vector<ZzAt> zzHere;
     for (std::uint32_t k = 0; k < _numQubits; ++k) {
         // Constant (bit-k-only) factors from Z terms at k, plus
         // degenerate ZZ pairs (q0 == q1 always has even parity).
@@ -193,29 +214,34 @@ Statevector::applyPhases(const std::vector<QubitAngle> &z_angles,
         for (const auto &za : z_angles) {
             if (za.qubit != k)
                 continue;
-            const Complex f1(std::cos(za.theta * 0.5),
-                             std::sin(za.theta * 0.5));
-            g *= std::conj(f1);
-            hc *= f1;
+            g = mul(g, std::conj(za.unit));
+            hc = mul(hc, za.unit);
             any = true;
         }
-        zzHere.clear();
+        // ZZ terms at k, each keyed by the slot of its low qubit
+        // among the distinct low qubits met so far.
+        _zzScratch.clear();
+        _lowScratch.clear();
         for (const auto &pa : zz_angles) {
             const std::uint32_t qhi = pa.q0 > pa.q1 ? pa.q0
                                                     : pa.q1;
             if (qhi != k)
                 continue;
-            const Complex f1(std::cos(pa.theta * 0.5),
-                             std::sin(pa.theta * 0.5));
-            const Complex f0 = std::conj(f1);
-            if (pa.q0 == pa.q1) {
-                g *= f0;
-                hc *= f0;
-            } else {
-                zzHere.push_back(
-                    ZzAt{pa.q0 < pa.q1 ? pa.q0 : pa.q1, f0, f1});
-            }
+            const Complex f0 = std::conj(pa.unit);
             any = true;
+            if (pa.q0 == pa.q1) {
+                g = mul(g, f0);
+                hc = mul(hc, f0);
+                continue;
+            }
+            const std::uint32_t qlo = pa.q0 < pa.q1 ? pa.q0 : pa.q1;
+            std::uint32_t slot = 0;
+            while (slot < _lowScratch.size() &&
+                   _lowScratch[slot] != qlo)
+                ++slot;
+            if (slot == _lowScratch.size())
+                _lowScratch.push_back(qlo);
+            _zzScratch.push_back(ZzAt{slot, f0, pa.unit});
         }
         const std::size_t halfLen = std::size_t(1) << k;
         if (!any) {
@@ -223,28 +249,49 @@ Statevector::applyPhases(const std::vector<QubitAngle> &z_angles,
                 table[j + halfLen] = table[j];
             continue;
         }
-        if (zzHere.empty()) {
-            for (std::size_t j = 0; j < halfLen; ++j) {
-                table[j + halfLen] = table[j] * hc;
-                table[j] *= g;
-            }
-            continue;
-        }
-        for (std::size_t j = 0; j < halfLen; ++j) {
+
+        // Combo table: the (bit 0, bit 1) factor pair for each of
+        // the 2^d patterns of the d distinct low qubits, multiplied
+        // in term order exactly as a per-index loop would.
+        const std::size_t d = _lowScratch.size();
+        const std::size_t combos = std::size_t(1) << d;
+        _comboScratch.resize(2 * combos);
+        Complex *combo = _comboScratch.data();
+        for (std::size_t p = 0; p < combos; ++p) {
             Complex g2 = g, h2 = hc;
-            for (const auto &t : zzHere) {
-                const bool b = (j >> t.qlo) & 1;
-                g2 *= b ? t.e1 : t.e0;
-                h2 *= b ? t.e0 : t.e1;
+            for (const ZzAt &t : _zzScratch) {
+                const bool b = (p >> t.slot) & 1;
+                g2 = mul(g2, b ? t.e1 : t.e0);
+                h2 = mul(h2, b ? t.e0 : t.e1);
             }
-            table[j + halfLen] = table[j] * h2;
-            table[j] *= g2;
+            combo[2 * p] = g2;
+            combo[2 * p + 1] = h2;
+        }
+
+        // The pattern is constant over runs of 2^(lowest low qubit)
+        // indices, so it is gathered once per run.
+        std::uint32_t lowest = k;
+        for (std::uint32_t q : _lowScratch)
+            lowest = q < lowest ? q : lowest;
+        const std::size_t run = std::size_t(1) << lowest;
+        for (std::size_t base = 0; base < halfLen; base += run) {
+            std::size_t p = 0;
+            for (std::size_t s = 0; s < d; ++s)
+                p |= ((base >> _lowScratch[s]) & 1) << s;
+            const Complex g2 = combo[2 * p];
+            const Complex h2 = combo[2 * p + 1];
+            Complex *lo = table + base;
+            Complex *hi = lo + halfLen;
+            for (std::size_t j = 0; j < run; ++j) {
+                hi[j] = mul(lo[j], h2);
+                lo[j] = mul(lo[j], g2);
+            }
         }
     }
 
     Complex *amps = _amps.data();
     for (std::size_t i = 0; i < n; ++i)
-        amps[i] *= table[i];
+        amps[i] = mul(amps[i], table[i]);
 }
 
 void

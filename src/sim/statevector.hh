@@ -19,19 +19,43 @@
 
 namespace casq {
 
-/** Per-qubit Z-rotation angle entry for the fused phase kernel. */
+/**
+ * e^{+i theta/2}, the bit-1 factor of Rz(theta) and the odd-parity
+ * factor of Rzz(theta).  Defined out of line so every caller gets
+ * the same runtime cos/sin bits (a constant argument is never
+ * folded at compile time).
+ */
+Complex unitPhase(double theta);
+
+/**
+ * Per-qubit Z-rotation angle entry for the fused phase kernel.  The
+ * unit factor is computed once, when the entry is built, so the
+ * kernel itself does no trig.
+ */
 struct QubitAngle
 {
+    QubitAngle(std::uint32_t q, double th)
+        : qubit(q), theta(th), unit(unitPhase(th))
+    {
+    }
+
     std::uint32_t qubit;
     double theta; //!< Rz(theta) = exp(-i theta Z / 2)
+    Complex unit; //!< unitPhase(theta)
 };
 
 /** Per-pair ZZ-rotation angle entry for the fused phase kernel. */
 struct PairAngle
 {
+    PairAngle(std::uint32_t a, std::uint32_t b, double th)
+        : q0(a), q1(b), theta(th), unit(unitPhase(th))
+    {
+    }
+
     std::uint32_t q0;
     std::uint32_t q1;
     double theta; //!< Rzz(theta) = exp(-i theta ZZ / 2)
+    Complex unit; //!< unitPhase(theta)
 };
 
 /** Dense complex statevector over n qubits (qubit 0 = LSB). */
@@ -67,8 +91,10 @@ class Statevector
 
     /**
      * Fused diagonal kernel: applies all the given Rz and Rzz
-     * angles in a single pass over the state.  This is the hot path
-     * of crosstalk-noise injection (one call per timeline segment).
+     * angles in a single pass over the state, using the unit
+     * factors the entries carry.  This is the hot path of
+     * crosstalk-noise injection (one call per timeline segment).
+     * Every qubit index must be below numQubits().
      */
     void applyPhases(const std::vector<QubitAngle> &z_angles,
                      const std::vector<PairAngle> &zz_angles);
@@ -115,6 +141,19 @@ class Statevector
     std::vector<Complex> _amps;
     std::vector<Complex> _phaseScratch; //!< lazily sized factor table
 
+    /** A ZZ term resolved at its high qubit by applyPhases. */
+    struct ZzAt
+    {
+        std::uint32_t slot; //!< bit of the combo index (its low qubit)
+        Complex e0;         //!< even parity: e^{-i theta/2}
+        Complex e1;         //!< odd parity: e^{+i theta/2}
+    };
+    std::vector<ZzAt> _zzScratch;
+    std::vector<std::uint32_t> _lowScratch;
+    std::vector<Complex> _comboScratch;
+
+    void applyRzzUnit(std::uint32_t q0, std::uint32_t q1,
+                      const Complex &odd);
     void renormalize();
 };
 
