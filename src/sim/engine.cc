@@ -1,6 +1,7 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -82,10 +83,30 @@ struct CompiledVariant
     /**
      * The prefix state for `kind` (Dense or Stabilizer), built
      * lazily on first use so e.g. a >24-qubit Clifford ensemble
-     * never allocates a dense 2^n checkpoint.  Thread-safe; valid
-     * only when prefixEvents > 0.
+     * never allocates a dense 2^n checkpoint.  The first caller's
+     * `evolve(state)` advances a fresh |0...0> state through the
+     * first prefixEvents events (TrajectoryRunner supplies it, so
+     * the checkpoint is produced by the trajectory loop itself).
+     * Thread-safe; valid only when prefixEvents > 0.
      */
-    const StateBackend *prefixCheckpoint(SimBackendKind kind) const;
+    template <typename Evolve>
+    const StateBackend &
+    prefixCheckpoint(SimBackendKind kind, const Evolve &evolve) const
+    {
+        casq_assert(kind != SimBackendKind::Auto,
+                    "prefix checkpoint needs a concrete backend kind");
+        const bool dense = kind == SimBackendKind::Dense;
+        std::unique_ptr<StateBackend> &slot =
+            dense ? _prefixDense : _prefixStab;
+        std::call_once(dense ? _prefixDenseOnce : _prefixStabOnce,
+                       [&] {
+                           auto state = makeStateBackend(
+                               kind, timeline.circuit().numQubits());
+                           evolve(*state);
+                           slot = std::move(state);
+                       });
+        return *slot;
+    }
 
   private:
     mutable std::once_flag _prefixDenseOnce;
@@ -95,9 +116,6 @@ struct CompiledVariant
 
     void analyzeStabilizerEligibility(const NoiseSources &sources);
     void analyzePrefixEligibility(const NoiseSources &sources);
-    void buildPrefixCheckpoint(
-        SimBackendKind kind,
-        std::unique_ptr<StateBackend> &slot) const;
 };
 
 CompiledVariant::CompiledVariant(const ScheduledCircuit &circuit,
@@ -160,8 +178,9 @@ CompiledVariant::analyzePrefixEligibility(const NoiseSources &sources)
     // Walk the timeline until the first event that consumes RNG or
     // reads per-shot state; everything before it is the shared
     // deterministic prefix.  The rules mirror TrajectoryRunner
-    // event by event, with the per-source decisions delegated to
-    // the composed sources (docs/noise.md):
+    // event by event (its evolvePrefix asserts the no-RNG half when
+    // it builds the checkpoint), with the per-source decisions
+    // delegated to the composed sources (docs/noise.md):
     //  - a segment is eligible when it has no stochastic hooks, or
     //    when its duration is zero (sources must contribute exactly
     //    0.0 there and draw nothing -- RNG rule 3 of
@@ -210,65 +229,6 @@ CompiledVariant::analyzePrefixEligibility(const NoiseSources &sources)
     }
     prefixEvents = count;
     prefixPendingT1 = pending;
-}
-
-void
-CompiledVariant::buildPrefixCheckpoint(
-    SimBackendKind kind, std::unique_ptr<StateBackend> &slot) const
-{
-    auto state =
-        makeStateBackend(kind, timeline.circuit().numQubits());
-    const auto &insts = timeline.circuit().instructions();
-    const auto &events = timeline.events();
-    // Replay the prefix with the exact kernel calls the runner
-    // makes (an eligible segment's phase buffer is exactly its
-    // deterministic plan), so a forked trajectory is bit-identical
-    // to a replayed one.
-    for (std::size_t e = 0; e < prefixEvents; ++e) {
-        const TimelineEvent &event = events[e];
-        if (event.kind == TimelineEvent::Kind::Segment) {
-            const SegmentPlan &plan = plans[event.index];
-            state->applyPhases(plan.detZ, plan.detZz);
-            continue;
-        }
-        const Instruction &inst = insts[event.index].inst;
-        if (inst.op == Op::I)
-            continue;
-        if (opIsVirtual(inst.op)) {
-            if (inst.op == Op::RZ)
-                state->applyRz(inst.qubits[0], inst.params[0]);
-            else
-                state->applyGate1q(unitaries[event.index],
-                                   inst.qubits[0]);
-            continue;
-        }
-        if (inst.qubits.size() == 1)
-            state->applyGate1q(unitaries[event.index],
-                               inst.qubits[0]);
-        else
-            state->applyGate2q(unitaries[event.index],
-                               inst.qubits[0], inst.qubits[1]);
-    }
-    slot = std::move(state);
-}
-
-const StateBackend *
-CompiledVariant::prefixCheckpoint(SimBackendKind kind) const
-{
-    casq_assert(kind != SimBackendKind::Auto,
-                "prefix checkpoint needs a concrete backend kind");
-    if (kind == SimBackendKind::Dense) {
-        std::call_once(_prefixDenseOnce, [this] {
-            buildPrefixCheckpoint(SimBackendKind::Dense,
-                                  _prefixDense);
-        });
-        return _prefixDense.get();
-    }
-    std::call_once(_prefixStabOnce, [this] {
-        buildPrefixCheckpoint(SimBackendKind::Stabilizer,
-                              _prefixStab);
-    });
-    return _prefixStab.get();
 }
 
 void
@@ -503,14 +463,17 @@ class TrajectoryRunner
         _state = &stateFor(kind);
 
         // Fork from the variant's prefix checkpoint when allowed:
-        // the prefix consumes no RNG, so skipping it leaves the
-        // trajectory's random stream untouched, and the checkpoint
-        // was produced by the identical FP op sequence, so the
+        // the checkpoint is this runner's own replay of the prefix
+        // (evolvePrefix) and the prefix consumes no RNG, so skipping
+        // it leaves the trajectory's random stream untouched and the
         // result is bit-identical to a full replay.
         std::size_t first_event = 0;
         if (prefix_mode == PrefixStateMode::Auto &&
             variant.prefixEvents > 0) {
-            _state->assign(*variant.prefixCheckpoint(kind));
+            _state->assign(variant.prefixCheckpoint(
+                kind, [&](StateBackend &fresh) {
+                    evolvePrefix(variant, fresh);
+                }));
             std::fill(_pendingT1.begin(), _pendingT1.end(),
                       variant.prefixPendingT1);
             first_event = variant.prefixEvents;
@@ -520,21 +483,8 @@ class TrajectoryRunner
         }
         std::fill(_clbits.begin(), _clbits.end(), 0);
         sampleShotNoise(rng);
-
-        const auto &segments = variant.timeline.segments();
-        const auto &insts =
-            variant.timeline.circuit().instructions();
-        const auto &events = variant.timeline.events();
-        for (std::size_t e = first_event; e < events.size(); ++e) {
-            const TimelineEvent &event = events[e];
-            if (event.kind == TimelineEvent::Kind::Segment) {
-                applySegment(variant.plans[event.index],
-                             segments[event.index], rng);
-            } else {
-                fire(insts[event.index],
-                     variant.unitaries[event.index], rng);
-            }
-        }
+        replay(variant, first_event, variant.timeline.events().size(),
+               rng);
         flushAllT1(rng);
         for (std::size_t k = 0; k < observables.size(); ++k)
             out[k] = _state->expectation(observables[k]);
@@ -570,6 +520,49 @@ class TrajectoryRunner
     std::vector<int> _clbits;
     std::vector<double> _pendingT1;
     std::vector<QubitAngle> _zBuffer;
+
+    /** Execute timeline events [e0, e1) of `variant` on _state. */
+    void
+    replay(const CompiledVariant &variant, std::size_t e0,
+           std::size_t e1, Rng &rng)
+    {
+        const auto &segments = variant.timeline.segments();
+        const auto &insts =
+            variant.timeline.circuit().instructions();
+        const auto &events = variant.timeline.events();
+        for (std::size_t e = e0; e < e1; ++e) {
+            const TimelineEvent &event = events[e];
+            if (event.kind == TimelineEvent::Kind::Segment) {
+                applySegment(variant.plans[event.index],
+                             segments[event.index], rng);
+            } else {
+                fire(insts[event.index],
+                     variant.unitaries[event.index], rng);
+            }
+        }
+    }
+
+    /**
+     * Evolve `fresh` through the variant's deterministic prefix with
+     * the trajectory loop itself, on a throwaway Rng that must not
+     * advance: "the prefix consumes no RNG" is checked here, not
+     * assumed.  Reads of per-shot state are not checked (the
+     * fork-vs-replay tests cover those).  The pending-T1 clocks it
+     * advances are reset by run() before any trajectory reads them.
+     */
+    void
+    evolvePrefix(const CompiledVariant &variant, StateBackend &fresh)
+    {
+        StateBackend *const trajectory_state = _state;
+        _state = &fresh;
+        const Rng untouched;
+        Rng probe = untouched;
+        replay(variant, 0, variant.prefixEvents, probe);
+        casq_assert(probe == untouched,
+                    "the deterministic prefix of a variant drew from "
+                    "the RNG");
+        _state = trajectory_state;
+    }
 
     StateBackend &
     stateFor(SimBackendKind kind)
@@ -951,119 +944,15 @@ SimulationEngine::runEnsemble(
     const std::vector<PauliString> &observables,
     const EnsembleRunOptions &opts)
 {
-    casq_assert(opts.trajectories > 0, "need at least 1 trajectory");
-
-    EnsembleOptions compile;
-    compile.instances = opts.instances;
-    compile.seed = opts.compileSeed;
-    compile.prefixCache = opts.prefixCache;
-    compile.threads = 1; // the fused pool below owns the workers
-    const EnsemblePlan plan =
-        pipeline.planEnsemble(logical, _backend, compile);
-
-    const int V = plan.instanceCount();
-    if (plan.prefixLength() > 0)
-        debug("fused ensemble: ", plan.prefixLength(),
-              " deterministic prefix pass(es) compiled once for ",
-              V, " instance(s)");
-    const std::size_t total = std::size_t(opts.trajectories);
-    const std::size_t K = observables.size();
-    const Rng master(opts.seed);
-    std::vector<double> slots(total * K);
-
-    // Trajectory t executes variant t mod V, so instance k owns the
-    // arithmetic progression {k, k + V, ...} and can simulate it the
-    // moment its compilation finishes -- no cross-instance barrier.
-    const auto trajectoriesOf = [&](int k) {
-        return int(total) > k
-                   ? (int(total) - k + V - 1) / V
-                   : 0;
-    };
-    // Which substrate each instance's trajectories ran on, recorded
-    // at compile time (disjoint slots, read only after the join
-    // below) so the result can report the routing.
-    std::vector<unsigned char> routed(std::size_t(V), 0);
-    std::vector<unsigned char> prefixed(std::size_t(V), 0);
-    const auto recordRouting = [&](int k,
-                                   const CompiledVariant &variant) {
-        routed[std::size_t(k)] =
-            resolveTrajectoryBackend(opts.backend, variant) ==
-                    SimBackendKind::Stabilizer
-                ? 1
-                : 0;
-        prefixed[std::size_t(k)] =
-            opts.prefixState == PrefixStateMode::Auto &&
-                    variant.prefixEvents > 0
-                ? 1
-                : 0;
-    };
-    const auto simulateVariant = [&](const CompiledVariant &variant,
-                                     std::size_t num_clbits, int k,
-                                     int i0, int i1) {
-        TrajectoryRunner runner(_backend, _sources,
-                                _backend.numQubits(), num_clbits);
-        for (int i = i0; i < i1; ++i) {
-            const std::size_t t = std::size_t(k) + std::size_t(i) * V;
-            Rng rng = master.derive(std::uint64_t(t));
-            runner.run(variant, rng, observables,
-                       slots.data() + t * K, opts.backend,
-                       opts.prefixState);
-        }
-    };
-    const auto reduce = [&] {
-        RunResult result = reduceTrajectorySlots(slots, total, K);
-        for (int k = 0; k < V; ++k) {
-            if (routed[std::size_t(k)])
-                result.stabilizerTrajectories += trajectoriesOf(k);
-            if (prefixed[std::size_t(k)])
-                result.prefixStateHits +=
-                    std::uint64_t(trajectoriesOf(k));
-        }
-        return result;
-    };
-
-    const unsigned threads = ThreadPool::resolveThreads(
-        unsigned(std::max(0, opts.threads)));
-    if (threads <= 1) {
-        for (int k = 0; k < V; ++k) {
-            CompilationResult instance = plan.compileInstance(k);
-            const auto variant = compiledVariant(
-                instance.scheduled, opts.cacheVariants);
-            recordRouting(k, *variant);
-            simulateVariant(*variant,
-                            instance.scheduled.numClbits(), k, 0,
-                            trajectoriesOf(k));
-        }
-        return reduce();
-    }
-
-    // One pool drives both stages: each compile task streams its
-    // freshly compiled variant into simulation sub-tasks on the
-    // same pool (submitting from a worker is safe -- the pending
-    // count can only reach zero after every nested submit).
-    ThreadPool &workers = pool(threads);
-    const int subtasks =
-        std::max(1, int(threads) * 2 / std::max(1, V));
-    for (int k = 0; k < V; ++k) {
-        workers.submit([&, k] {
-            CompilationResult instance = plan.compileInstance(k);
-            const std::size_t num_clbits =
-                instance.scheduled.numClbits();
-            const auto variant = compiledVariant(
-                instance.scheduled, opts.cacheVariants);
-            recordRouting(k, *variant);
-            for (const auto &[i0, i1] :
-                 splitRange(trajectoriesOf(k), subtasks)) {
-                workers.submit([&, variant, num_clbits, k, i0 = i0,
-                                i1 = i1] {
-                    simulateVariant(*variant, num_clbits, k, i0,
-                                    i1);
-                });
-            }
-        });
-    }
-    workers.wait();
-    return reduce();
+    // The one-shard split owns every trajectory, ordinal = index.
+    const ShardSlots whole =
+        runShard(logical, pipeline, observables, opts, 0, 1);
+    RunResult result =
+        reduceTrajectorySlots(whole.slots, std::size_t(opts.trajectories),
+                              observables.size());
+    result.stabilizerTrajectories = int(whole.stabilizerTrajectories);
+    result.prefixStateHits = whole.prefixStateHits;
+    return result;
 }
 
 ShardSlots
@@ -1132,9 +1021,10 @@ SimulationEngine::runShard(
                            opts.prefixState);
             }
         };
-    // Per-instance prefix-fork flags (disjoint slots written by the
-    // compile tasks, summed into the hit counter after the join).
-    std::vector<unsigned char> prefixed(out.instances.size(), 0);
+    // Routing counts, taken by the compile tasks (integer sums, so
+    // the task order cannot change them).
+    std::atomic<std::uint64_t> stabilizer_runs{0};
+    std::atomic<std::uint64_t> prefix_runs{0};
     const auto compileAndRecord =
         [&](std::size_t n) -> std::pair<
             std::shared_ptr<const CompiledVariant>, std::size_t> {
@@ -1145,19 +1035,17 @@ SimulationEngine::runShard(
         const auto variant = compiledVariant(instance.scheduled,
                                              opts.cacheVariants);
         out.fingerprints[n] = variant->fingerprint;
-        prefixed[n] = opts.prefixState == PrefixStateMode::Auto &&
-                              variant->prefixEvents > 0
-                          ? 1
-                          : 0;
+        const std::uint64_t runs = ordinals_of[i].size();
+        if (resolveTrajectoryBackend(opts.backend, *variant) ==
+            SimBackendKind::Stabilizer) {
+            stabilizer_runs += runs;
+        }
+        if (opts.prefixState == PrefixStateMode::Auto &&
+            variant->prefixEvents > 0) {
+            prefix_runs += runs;
+        }
         return {variant, num_clbits};
     };
-    const auto sumPrefixHits = [&] {
-        for (std::size_t n = 0; n < out.instances.size(); ++n)
-            if (prefixed[n])
-                out.prefixStateHits += std::uint64_t(
-                    ordinals_of[out.instances[n]].size());
-    };
-
     const unsigned threads = ThreadPool::resolveThreads(
         unsigned(std::max(0, opts.threads)));
     if (threads <= 1) {
@@ -1167,38 +1055,39 @@ SimulationEngine::runShard(
             simulateOrdinals(*variant, num_clbits, ordinals, 0,
                              ordinals.size());
         }
-        sumPrefixHits();
-        return out;
+    } else {
+        // One pool drives both stages: each compile task streams its
+        // freshly compiled variant into simulation sub-tasks on the
+        // same pool (submitting from a worker is safe -- the pending
+        // count can only reach zero after every nested submit).
+        ThreadPool &workers = pool(threads);
+        const int subtasks = std::max(
+            1, int(threads) * 2 /
+                   std::max<int>(1, int(out.instances.size())));
+        for (std::size_t n = 0; n < out.instances.size(); ++n) {
+            workers.submit([&, n] {
+                const auto compiled = compileAndRecord(n);
+                const auto variant = compiled.first;
+                const std::size_t num_clbits = compiled.second;
+                // Outlives this task (ordinals_of is alive until the
+                // wait() below), so sub-tasks take a stable pointer.
+                const std::vector<std::size_t> *ordinals =
+                    &ordinals_of[out.instances[n]];
+                for (const auto &[o0, o1] :
+                     splitRange(int(ordinals->size()), subtasks)) {
+                    workers.submit([&, variant, num_clbits, ordinals,
+                                    o0 = o0, o1 = o1] {
+                        simulateOrdinals(*variant, num_clbits,
+                                         *ordinals, std::size_t(o0),
+                                         std::size_t(o1));
+                    });
+                }
+            });
+        }
+        workers.wait();
     }
-
-    // Same fused shape as runEnsemble: each compile task streams its
-    // variant into simulation sub-tasks on the one pool.
-    ThreadPool &workers = pool(threads);
-    const int subtasks = std::max(
-        1, int(threads) * 2 /
-               std::max<int>(1, int(out.instances.size())));
-    for (std::size_t n = 0; n < out.instances.size(); ++n) {
-        workers.submit([&, n] {
-            const auto compiled = compileAndRecord(n);
-            const auto variant = compiled.first;
-            const std::size_t num_clbits = compiled.second;
-            // Outlives this task (ordinals_of is alive until the
-            // wait() below), so sub-tasks take a stable pointer.
-            const std::vector<std::size_t> *ordinals =
-                &ordinals_of[out.instances[n]];
-            for (const auto &[o0, o1] :
-                 splitRange(int(ordinals->size()), subtasks)) {
-                workers.submit([&, variant, num_clbits, ordinals,
-                                o0 = o0, o1 = o1] {
-                    simulateOrdinals(*variant, num_clbits,
-                                     *ordinals, std::size_t(o0),
-                                     std::size_t(o1));
-                });
-            }
-        });
-    }
-    workers.wait();
-    sumPrefixHits();
+    out.stabilizerTrajectories = stabilizer_runs;
+    out.prefixStateHits = prefix_runs;
     return out;
 }
 

@@ -24,11 +24,11 @@
  * that revisit the same schedules -- repeated observable batches,
  * Ramsey delays, layer-fidelity lengths -- stop recompiling them.
  *
- * runEnsemble() fuses compilation into simulation: instances stream
+ * runShard() fuses compilation into simulation: instances stream
  * out of PassManager::planEnsemble straight into trajectory
  * execution on one pool, with no materialized schedule vector (and
- * no barrier) between the stages.  docs/simulator.md has the full
- * architecture notes.
+ * no barrier) between the stages.  runEnsemble() is its one-shard
+ * case.  docs/simulator.md has the full architecture notes.
  */
 
 #ifndef CASQ_SIM_ENGINE_HH
@@ -137,7 +137,8 @@ RunResult reduceTrajectorySlots(const std::vector<double> &slots,
  * same schedules.  Shard k of S owns global trajectories
  * t = k, k + S, k + 2S, ...; slots stores them ordinal-major
  * (slots[j * K + c] is observable c of the j-th owned trajectory,
- * i.e. global trajectory k + j * S).
+ * i.e. global trajectory k + j * S).  runEnsemble() reduces the
+ * single shard (S = 1) that owns every trajectory.
  */
 struct ShardSlots
 {
@@ -152,6 +153,13 @@ struct ShardSlots
 
     /** Owned trajectories that forked from a prefix checkpoint. */
     std::uint64_t prefixStateHits = 0;
+
+    /**
+     * Owned trajectories the backend routing sent to the tableau.
+     * In-process only: the shard wire format (sim/shard.hh) does
+     * not carry it.
+     */
+    std::uint64_t stabilizerTrajectories = 0;
 };
 
 /** Configuration of a fused compile->simulate ensemble run. */
@@ -229,9 +237,12 @@ class SimulationEngine
      * Fused ensemble estimate: compile opts.instances instances of
      * `logical` through `pipeline` (sharing the deterministic
      * prefix) and pipe each instance straight into its share of the
-     * trajectories, all on one pool.  Equivalent to -- and
-     * bit-identical with -- compileEnsemble() followed by run(),
-     * without the schedule-vector barrier between the stages.
+     * trajectories, all on one pool.  Bit-identical with
+     * compileEnsemble() followed by run(), without the
+     * schedule-vector barrier between the stages.  This is the
+     * one-shard case of runShard() (shard 0 of 1) reduced by
+     * reduceTrajectorySlots(), so instances no trajectory executes
+     * (opts.trajectories < opts.instances) are never compiled.
      */
     RunResult runEnsemble(const LayeredCircuit &logical,
                           PassManager &pipeline,
@@ -253,8 +264,8 @@ class SimulationEngine
      * i + 7001), the slot values are independent of the shard
      * decomposition, the host, and the thread count: merging the S
      * shards of any split is bit-identical to runEnsemble().
-     * runEnsemble() is equivalent to the merge of this call's
-     * results over every shard of any S.
+     * runEnsemble() is this call with shard_count = 1: it is the
+     * engine's one fused compile->simulate driver.
      */
     ShardSlots runShard(const LayeredCircuit &logical,
                         PassManager &pipeline,

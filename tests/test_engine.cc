@@ -147,6 +147,39 @@ TEST(Engine, FusedEnsembleMatchesCompileThenRun)
         reference, "fused vs compile+run");
 }
 
+TEST(Engine, FusedEnsembleCompilesOnlyExecutedInstances)
+{
+    // Fewer trajectories than instances: trajectory t executes
+    // instance t mod 6, so instances 4 and 5 run nothing and must
+    // not be compiled into the variant cache.
+    const Backend backend = noisyBackend();
+    const LayeredCircuit circuit = workload();
+    PassManager pipeline = buildPipeline(Strategy::CaDd);
+    const auto ensemble =
+        compileEnsemble(circuit, backend, pipeline, 6, 7, 1);
+    SimulationEngine unfused(backend, NoiseModel::standard());
+    ExecutionOptions exec;
+    exec.trajectories = 4;
+    exec.seed = 99;
+    exec.threads = 1;
+    const RunResult reference =
+        unfused.run(ensemble, observables(), exec);
+
+    PassManager pipeline2 = buildPipeline(Strategy::CaDd);
+    SimulationEngine fused(backend, NoiseModel::standard());
+    EnsembleRunOptions opts;
+    opts.instances = 6;
+    opts.compileSeed = 7;
+    opts.trajectories = 4;
+    opts.seed = 99;
+    opts.threads = 2;
+    expectBitIdentical(
+        fused.runEnsemble(circuit, pipeline2, observables(), opts),
+        reference, "fused vs compile+run");
+    EXPECT_EQ(fused.variantCacheMisses(), 4u);
+    EXPECT_EQ(fused.variantCacheSize(), 4u);
+}
+
 TEST(Engine, VariantCacheReturnsIdenticalResultsToColdCompile)
 {
     const Backend backend = noisyBackend();

@@ -510,6 +510,8 @@ TEST(BackendRouting, ShardedStabilizerMergeMatchesSingleProcess)
 
     for (std::uint32_t shards : {1u, 3u}) {
         std::vector<ShardResult> results;
+        std::uint64_t stabilizer_runs = 0;
+        std::uint64_t prefix_runs = 0;
         for (std::uint32_t k = 0; k < shards; ++k) {
             const auto opts =
                 ensembleOptions(SimBackendKind::Auto);
@@ -520,6 +522,8 @@ TEST(BackendRouting, ShardedStabilizerMergeMatchesSingleProcess)
             ShardSlots slots =
                 worker.runShard(circuit, worker_pipeline, obs,
                                 opts, k, shards);
+            stabilizer_runs += slots.stabilizerTrajectories;
+            prefix_runs += slots.prefixStateHits;
             ShardResult result;
             result.shardIndex = k;
             result.shardCount = shards;
@@ -536,6 +540,13 @@ TEST(BackendRouting, ShardedStabilizerMergeMatchesSingleProcess)
         const RunResult merged = mergeShards(results);
         expectBitIdentical(merged, reference,
                            "shards=" + std::to_string(shards));
+        // The routing counts add up across shards to the
+        // single-process ones (runEnsemble is the one-shard case).
+        EXPECT_EQ(stabilizer_runs, std::uint64_t(
+                                       reference.stabilizerTrajectories))
+            << "shards=" << shards;
+        EXPECT_EQ(prefix_runs, reference.prefixStateHits)
+            << "shards=" << shards;
         for (std::size_t k = 0; k < merged.means.size(); ++k)
             EXPECT_NEAR(merged.means[k], dense.means[k], 1e-12)
                 << "shards=" << shards << " observable " << k;
