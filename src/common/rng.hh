@@ -57,9 +57,6 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool bernoulli(double p);
 
-    /** Same stream at the same position (equal future draws). */
-    bool operator==(const Rng &) const = default;
-
   private:
     std::uint64_t _state[4];
     double _spare = 0.0;

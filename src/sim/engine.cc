@@ -43,12 +43,58 @@ struct SegmentPlan
     std::vector<StochasticQubit> stoch;
 };
 
+/**
+ * What one timeline event does in a trajectory.  classifyEvents()
+ * decides it once per variant; the trajectory loop, the prefix
+ * length and the prefix checkpoint all read the stored class.  The
+ * first four classes are shared: they draw nothing and read no
+ * per-shot state, so every trajectory runs them identically.
+ */
+enum class EventClass : std::uint8_t
+{
+    PhaseSegment, //!< segment without stochastic hooks, or tau == 0
+    Identity,     //!< Op::I
+    VirtualGate,  //!< virtual diagonal gate: no T1 flush, no hooks
+    FreeGate,     //!< physical gate, no gate or idle hooks installed
+    DrawSegment,  //!< segment with stochastic hooks and tau > 0
+    HookedGate,   //!< physical gate the runner flushes or hooks
+    Measure,
+    Reset,
+    Conditional,  //!< clbit-gated instruction, never shared
+};
+
+/** True for the classes every trajectory runs identically. */
+constexpr bool
+isShared(EventClass cls)
+{
+    return cls == EventClass::PhaseSegment ||
+           cls == EventClass::Identity ||
+           cls == EventClass::VirtualGate ||
+           cls == EventClass::FreeGate;
+}
+
+/** One timeline event as the trajectory loop executes it. */
+struct EventStep
+{
+    EventClass cls;
+    EventClass body;   //!< Conditional: the class its instruction runs
+    std::int32_t index; //!< into plans/segments or instructions
+};
+
+/** A variant's state after its shared prefix: the fork point. */
+struct PrefixCheckpoint
+{
+    std::unique_ptr<StateBackend> state;
+    std::vector<double> pendingT1; //!< idle clocks the prefix accrued
+};
+
 /** A variant compiled for repeated trajectory execution. */
 struct CompiledVariant
 {
     Timeline timeline;
     std::vector<SegmentPlan> plans;
     std::vector<CMat> unitaries; //!< per scheduled instruction
+    std::vector<EventStep> steps; //!< per timeline event, in order
     std::uint64_t fingerprint = 0;
 
     /**
@@ -62,60 +108,53 @@ struct CompiledVariant
     std::string stabilizerBlocker;
 
     /**
-     * Leading timeline events that consume no RNG and read no
-     * per-shot state, so every trajectory evolves through them
-     * identically.  Trajectories may fork from a checkpoint evolved
-     * through these events once (docs/simulator.md, "Trajectory
-     * prefix checkpoint"); 0 means replay from |0...0>.
+     * Length of the leading run of shared steps.  Trajectories may
+     * fork from a checkpoint evolved through these events once
+     * (docs/simulator.md, "Trajectory prefix-state reuse"); 0 means
+     * replay from |0...0>.
      */
     std::size_t prefixEvents = 0;
-
-    /**
-     * Deterministic amplitude-damping idle time every qubit accrues
-     * across the prefix (the fork seeds the runner's pending-T1
-     * clock with it; always 0 unless noise.amplitudeDamping).
-     */
-    double prefixPendingT1 = 0.0;
 
     CompiledVariant(const ScheduledCircuit &circuit,
                     const NoiseSources &sources);
 
     /**
-     * The prefix state for `kind` (Dense or Stabilizer), built
+     * The prefix checkpoint for `kind` (Dense or Stabilizer), built
      * lazily on first use so e.g. a >24-qubit Clifford ensemble
      * never allocates a dense 2^n checkpoint.  The first caller's
-     * `evolve(state)` advances a fresh |0...0> state through the
-     * first prefixEvents events (TrajectoryRunner supplies it, so
-     * the checkpoint is produced by the trajectory loop itself).
-     * Thread-safe; valid only when prefixEvents > 0.
+     * `evolve(checkpoint)` advances a fresh |0...0> state and zeroed
+     * idle clocks through the first prefixEvents steps.  Thread-safe;
+     * valid only when prefixEvents > 0.
      */
     template <typename Evolve>
-    const StateBackend &
+    const PrefixCheckpoint &
     prefixCheckpoint(SimBackendKind kind, const Evolve &evolve) const
     {
         casq_assert(kind != SimBackendKind::Auto,
                     "prefix checkpoint needs a concrete backend kind");
         const bool dense = kind == SimBackendKind::Dense;
-        std::unique_ptr<StateBackend> &slot =
-            dense ? _prefixDense : _prefixStab;
+        PrefixCheckpoint &slot = dense ? _prefixDense : _prefixStab;
         std::call_once(dense ? _prefixDenseOnce : _prefixStabOnce,
                        [&] {
-                           auto state = makeStateBackend(
-                               kind, timeline.circuit().numQubits());
-                           evolve(*state);
-                           slot = std::move(state);
+                           const std::size_t n =
+                               timeline.circuit().numQubits();
+                           PrefixCheckpoint fresh{
+                               makeStateBackend(kind, n),
+                               std::vector<double>(n, 0.0)};
+                           evolve(fresh);
+                           slot = std::move(fresh);
                        });
-        return *slot;
+        return slot;
     }
 
   private:
     mutable std::once_flag _prefixDenseOnce;
-    mutable std::unique_ptr<StateBackend> _prefixDense;
+    mutable PrefixCheckpoint _prefixDense;
     mutable std::once_flag _prefixStabOnce;
-    mutable std::unique_ptr<StateBackend> _prefixStab;
+    mutable PrefixCheckpoint _prefixStab;
 
     void analyzeStabilizerEligibility(const NoiseSources &sources);
-    void analyzePrefixEligibility(const NoiseSources &sources);
+    void classifyEvents(const NoiseSources &sources);
 };
 
 CompiledVariant::CompiledVariant(const ScheduledCircuit &circuit,
@@ -169,66 +208,62 @@ CompiledVariant::CompiledVariant(const ScheduledCircuit &circuit,
     }
 
     analyzeStabilizerEligibility(sources);
-    analyzePrefixEligibility(sources);
+    classifyEvents(sources);
 }
 
 void
-CompiledVariant::analyzePrefixEligibility(const NoiseSources &sources)
+CompiledVariant::classifyEvents(const NoiseSources &sources)
 {
-    // Walk the timeline until the first event that consumes RNG or
-    // reads per-shot state; everything before it is the shared
-    // deterministic prefix.  The rules mirror TrajectoryRunner
-    // event by event (its evolvePrefix asserts the no-RNG half when
-    // it builds the checkpoint), with the per-source decisions
-    // delegated to the composed sources (docs/noise.md):
-    //  - a segment is eligible when it has no stochastic hooks, or
-    //    when its duration is zero (sources must contribute exactly
-    //    0.0 there and draw nothing -- RNG rule 3 of
-    //    sim/noise/source.hh);
-    //  - conditional instructions, Measure and Reset stop the walk
-    //    (clbit reads / measurement draws);
-    //  - Op::I and virtual diagonal gates are free (no idle flush,
-    //    no gate hooks);
-    //  - a physical gate stops the walk when any source declares a
-    //    prefixBlocker() (its gate-time hook would consume RNG or
-    //    desync per-shot state, e.g. the pending-T1 clocks), and is
-    //    eligible otherwise.
-    bool any_idle_flush = false;
-    bool gate_blocked = false;
-    for (const auto &source : sources) {
-        any_idle_flush |= source->wantsIdleFlush();
-        gate_blocked |= !source->prefixBlocker().empty();
-    }
-    double pending = 0.0;
-    std::size_t count = 0;
+    // The one place that maps an event to what it draws or reads
+    // (docs/simulator.md has the table).  A physical gate is hooked
+    // when any source runs a gate hook after it or flushes idle
+    // time before it.  A zero-duration segment is shared even under
+    // stochastic sources: the runner never calls segmentPhase there
+    // (RNG rule 3 of sim/noise/source.hh).
+    bool hooked_gates = false;
+    for (const auto &source : sources)
+        hooked_gates |= source->wantsGateHook() ||
+                        source->wantsIdleFlush();
+    const auto instructionClass = [&](const Instruction &inst) {
+        switch (inst.op) {
+          case Op::Measure:
+            return EventClass::Measure;
+          case Op::Reset:
+            return EventClass::Reset;
+          case Op::I:
+            return EventClass::Identity;
+          default:
+            break;
+        }
+        if (opIsVirtual(inst.op))
+            return EventClass::VirtualGate;
+        return hooked_gates ? EventClass::HookedGate
+                            : EventClass::FreeGate;
+    };
+
     const auto &segments = timeline.segments();
     const auto &insts = timeline.circuit().instructions();
-    for (const auto &event : timeline.events()) {
+    steps.reserve(timeline.events().size());
+    for (const TimelineEvent &event : timeline.events()) {
         if (event.kind == TimelineEvent::Kind::Segment) {
-            const SegmentPlan &plan = plans[event.index];
-            const double tau = segments[event.index].duration();
-            if (!plan.stoch.empty() && tau > 0.0)
-                break;
-            if (any_idle_flush)
-                pending += tau;
-            ++count;
+            const EventClass cls =
+                !plans[event.index].stoch.empty() &&
+                        segments[event.index].duration() > 0.0
+                    ? EventClass::DrawSegment
+                    : EventClass::PhaseSegment;
+            steps.push_back(EventStep{cls, cls, event.index});
             continue;
         }
         const Instruction &inst = insts[event.index].inst;
-        if (inst.isConditional())
-            break;
-        if (inst.op == Op::Measure || inst.op == Op::Reset)
-            break;
-        if (inst.op == Op::I || opIsVirtual(inst.op)) {
-            ++count;
-            continue;
-        }
-        if (gate_blocked)
-            break;
-        ++count;
+        const EventClass body = instructionClass(inst);
+        steps.push_back(EventStep{inst.isConditional()
+                                      ? EventClass::Conditional
+                                      : body,
+                                  body, event.index});
     }
-    prefixEvents = count;
-    prefixPendingT1 = pending;
+    while (prefixEvents < steps.size() &&
+           isShared(steps[prefixEvents].cls))
+        ++prefixEvents;
 }
 
 void
@@ -303,6 +338,9 @@ CompiledVariant::analyzeStabilizerEligibility(const NoiseSources &sources)
 namespace {
 
 using detail::CompiledVariant;
+using detail::EventClass;
+using detail::EventStep;
+using detail::PrefixCheckpoint;
 using detail::SegmentPlan;
 
 // ------------------------------------------------ circuit identity
@@ -411,6 +449,69 @@ resolveTrajectoryBackend(SimBackendKind requested,
 
 // ------------------------------------------------ trajectory state
 
+/** Apply a physical gate's unitary to its one or two qubits. */
+void
+applyUnitary(StateBackend &state, const Instruction &inst,
+             const CMat &unitary)
+{
+    if (inst.qubits.size() == 1)
+        state.applyGate1q(unitary, inst.qubits[0]);
+    else
+        state.applyGate2q(unitary, inst.qubits[0], inst.qubits[1]);
+}
+
+/**
+ * Run one event of a shared class on `state`.  The step takes no
+ * Rng and no shot, so it cannot draw or read per-shot state: the
+ * prefix checkpoint is built from this step alone, and the
+ * trajectory loop runs shared events through it too.  `idle_clock`
+ * holds the per-qubit pending-T1 clocks when an idle-flush source
+ * is composed, and is null otherwise.
+ */
+void
+applyShared(const CompiledVariant &variant, EventClass cls,
+            std::int32_t index, StateBackend &state,
+            std::vector<double> *idle_clock)
+{
+    const auto &insts = variant.timeline.circuit().instructions();
+    switch (cls) {
+      case EventClass::PhaseSegment: {
+        const SegmentPlan &plan = variant.plans[index];
+        state.applyPhases(plan.detZ, plan.detZz);
+        if (idle_clock) {
+            const double tau =
+                variant.timeline.segments()[index].duration();
+            for (double &pending : *idle_clock)
+                pending += tau;
+        }
+        return;
+      }
+      case EventClass::Identity:
+        return;
+      case EventClass::VirtualGate: {
+        // Exact and free; no T1 flush needed (virtual diagonal
+        // gates commute with the damping Kraus operators).
+        const Instruction &inst = insts[index].inst;
+        if (inst.op == Op::RZ)
+            state.applyRz(inst.qubits[0], inst.params[0]);
+        else
+            state.applyGate1q(variant.unitaries[index],
+                              inst.qubits[0]);
+        return;
+      }
+      case EventClass::FreeGate:
+        casq_assert(!idle_clock, "a physical gate classified free "
+                                 "while idle time accrues");
+        applyUnitary(state, insts[index].inst,
+                     variant.unitaries[index]);
+        return;
+      default:
+        casq_panic("event class ", int(cls),
+                   " draws or reads per-shot state; the shared step "
+                   "cannot run it");
+    }
+}
+
 /** State of one trajectory run, reused across trajectories. */
 class TrajectoryRunner
 {
@@ -463,19 +564,19 @@ class TrajectoryRunner
         _state = &stateFor(kind);
 
         // Fork from the variant's prefix checkpoint when allowed:
-        // the checkpoint is this runner's own replay of the prefix
-        // (evolvePrefix) and the prefix consumes no RNG, so skipping
-        // it leaves the trajectory's random stream untouched and the
-        // result is bit-identical to a full replay.
+        // the checkpoint ran the prefix through the same shared step
+        // this loop uses (evolvePrefix), and that step takes no Rng,
+        // so skipping it leaves the trajectory's random stream and
+        // idle clocks exactly where a full replay would have them.
         std::size_t first_event = 0;
         if (prefix_mode == PrefixStateMode::Auto &&
             variant.prefixEvents > 0) {
-            _state->assign(variant.prefixCheckpoint(
-                kind, [&](StateBackend &fresh) {
+            const PrefixCheckpoint &fork = variant.prefixCheckpoint(
+                kind, [&](PrefixCheckpoint &fresh) {
                     evolvePrefix(variant, fresh);
-                }));
-            std::fill(_pendingT1.begin(), _pendingT1.end(),
-                      variant.prefixPendingT1);
+                });
+            _state->assign(*fork.state);
+            _pendingT1 = fork.pendingT1;
             first_event = variant.prefixEvents;
         } else {
             _state->reset();
@@ -483,8 +584,9 @@ class TrajectoryRunner
         }
         std::fill(_clbits.begin(), _clbits.end(), 0);
         sampleShotNoise(rng);
-        replay(variant, first_event, variant.timeline.events().size(),
-               rng);
+        for (std::size_t e = first_event; e < variant.steps.size();
+             ++e)
+            runStep(variant, variant.steps[e], rng);
         flushAllT1(rng);
         for (std::size_t k = 0; k < observables.size(); ++k)
             out[k] = _state->expectation(observables[k]);
@@ -521,47 +623,29 @@ class TrajectoryRunner
     std::vector<double> _pendingT1;
     std::vector<QubitAngle> _zBuffer;
 
-    /** Execute timeline events [e0, e1) of `variant` on _state. */
-    void
-    replay(const CompiledVariant &variant, std::size_t e0,
-           std::size_t e1, Rng &rng)
+    /** `clocks` when a source flushes idle time, else null. */
+    std::vector<double> *
+    idleClock(std::vector<double> &clocks) const
     {
-        const auto &segments = variant.timeline.segments();
-        const auto &insts =
-            variant.timeline.circuit().instructions();
-        const auto &events = variant.timeline.events();
-        for (std::size_t e = e0; e < e1; ++e) {
-            const TimelineEvent &event = events[e];
-            if (event.kind == TimelineEvent::Kind::Segment) {
-                applySegment(variant.plans[event.index],
-                             segments[event.index], rng);
-            } else {
-                fire(insts[event.index],
-                     variant.unitaries[event.index], rng);
-            }
-        }
+        return _idleHooks.empty() ? nullptr : &clocks;
     }
 
     /**
-     * Evolve `fresh` through the variant's deterministic prefix with
-     * the trajectory loop itself, on a throwaway Rng that must not
-     * advance: "the prefix consumes no RNG" is checked here, not
-     * assumed.  Reads of per-shot state are not checked (the
-     * fork-vs-replay tests cover those).  The pending-T1 clocks it
-     * advances are reset by run() before any trajectory reads them.
+     * Evolve a fresh checkpoint through the variant's prefix with
+     * the shared step alone.  applyShared panics on any event that
+     * is not shared, so a prefix that would draw or read per-shot
+     * state fails here, deterministically.  The idle clocks it
+     * accrues are the ones every fork starts from.
      */
     void
-    evolvePrefix(const CompiledVariant &variant, StateBackend &fresh)
+    evolvePrefix(const CompiledVariant &variant,
+                 PrefixCheckpoint &fresh) const
     {
-        StateBackend *const trajectory_state = _state;
-        _state = &fresh;
-        const Rng untouched;
-        Rng probe = untouched;
-        replay(variant, 0, variant.prefixEvents, probe);
-        casq_assert(probe == untouched,
-                    "the deterministic prefix of a variant drew from "
-                    "the RNG");
-        _state = trajectory_state;
+        for (std::size_t e = 0; e < variant.prefixEvents; ++e) {
+            const EventStep &step = variant.steps[e];
+            applyShared(variant, step.cls, step.index, *fresh.state,
+                        idleClock(fresh.pendingT1));
+        }
     }
 
     StateBackend &
@@ -598,8 +682,8 @@ class TrajectoryRunner
     }
 
     void
-    applySegment(const SegmentPlan &plan, const Segment &seg,
-                 Rng &rng)
+    drawSegment(const SegmentPlan &plan, const Segment &seg,
+                Rng &rng)
     {
         // Convention: a Hamiltonian term (nu/2) Z acting for tau
         // gives the Rz angle theta = 2 pi nu tau, which is what
@@ -644,16 +728,38 @@ class TrajectoryRunner
             flushT1(q, rng);
     }
 
+    /** Run one event of the trajectory as its stored class says. */
     void
-    fire(const TimedInstruction &timed, const CMat &unitary, Rng &rng)
+    runStep(const CompiledVariant &variant, const EventStep &step,
+            Rng &rng)
     {
-        const Instruction &inst = timed.inst;
-        if (inst.isConditional() &&
-            _clbits[inst.condBit] != inst.condValue) {
-            return;
+        const auto &insts =
+            variant.timeline.circuit().instructions();
+        EventClass cls = step.cls;
+        if (cls == EventClass::Conditional) {
+            const Instruction &inst = insts[step.index].inst;
+            if (_clbits[inst.condBit] != inst.condValue)
+                return;
+            cls = step.body;
         }
-        switch (inst.op) {
-          case Op::Measure: {
+        switch (cls) {
+          case EventClass::DrawSegment:
+            drawSegment(variant.plans[step.index],
+                        variant.timeline.segments()[step.index], rng);
+            return;
+          case EventClass::HookedGate: {
+            const TimedInstruction &timed = insts[step.index];
+            for (auto q : timed.inst.qubits)
+                flushT1(q, rng);
+            applyUnitary(*_state, timed.inst,
+                         variant.unitaries[step.index]);
+            for (const NoiseSource *source : _gateHooks)
+                source->onGate(*_state, timed.inst, timed.duration,
+                               rng);
+            return;
+          }
+          case EventClass::Measure: {
+            const Instruction &inst = insts[step.index].inst;
             const std::uint32_t q = inst.qubits[0];
             flushT1(q, rng);
             int outcome = _state->measure(q, rng);
@@ -662,36 +768,17 @@ class TrajectoryRunner
             _clbits[inst.cbit] = outcome;
             return;
           }
-          case Op::Reset: {
-            const std::uint32_t q = inst.qubits[0];
+          case EventClass::Reset: {
+            const std::uint32_t q = insts[step.index].inst.qubits[0];
             flushT1(q, rng);
             if (_state->measure(q, rng) == 1)
                 _state->applyGate1q(gateUnitary(Op::X), q);
             return;
           }
-          case Op::I:
-            return;
           default:
-            break;
+            applyShared(variant, cls, step.index, *_state,
+                        idleClock(_pendingT1));
         }
-        // Virtual diagonal gates: exact, free, no T1 flush needed
-        // (they commute with the damping Kraus operators).
-        if (opIsVirtual(inst.op)) {
-            if (inst.op == Op::RZ)
-                _state->applyRz(inst.qubits[0], inst.params[0]);
-            else
-                _state->applyGate1q(unitary, inst.qubits[0]);
-            return;
-        }
-        for (auto q : inst.qubits)
-            flushT1(q, rng);
-        if (inst.qubits.size() == 1)
-            _state->applyGate1q(unitary, inst.qubits[0]);
-        else
-            _state->applyGate2q(unitary, inst.qubits[0],
-                               inst.qubits[1]);
-        for (const NoiseSource *source : _gateHooks)
-            source->onGate(*_state, inst, timed.duration, rng);
     }
 };
 

@@ -17,8 +17,12 @@
  *    segmentPhase(),
  *  - idle amplitude damping to flushIdle(),
  *  - post-gate and measurement errors to onGate() / onMeasurement(),
- *  - the stabilizer- and prefix-eligibility walks to
- *    cliffordBlocker() / prefixBlocker().
+ *  - the stabilizer-eligibility walk to cliffordBlocker().
+ *
+ * Which timeline events a trajectory may share (the prefix
+ * checkpoint) follows from the hooks alone: CompiledVariant's event
+ * classification treats a physical gate as per-shot whenever any
+ * source wants a gate hook or an idle flush.
  *
  * RNG-order contract (docs/noise.md): sources are composed in a
  * canonical order and every hook must draw from the trajectory Rng
@@ -30,9 +34,9 @@
  *     source is visited in composition order before q+1.
  *  2. sampleShot() runs after the whole sampleShotQubit() sweep, in
  *     composition order.
- *  3. segmentPhase() must not draw when the segment duration is
- *     <= 0 (zero-duration segments are part of the deterministic
- *     prefix; a draw there would desync forked trajectories).
+ *  3. The engine never calls segmentPhase() with tau <= 0: a
+ *     zero-duration segment applies only its compiled phases, so
+ *     it stays shared by every trajectory.
  *  4. A hook that is configured off (zero rate) must not draw at
  *     all unless the legacy mechanism it ports drew there already.
  */
@@ -153,8 +157,8 @@ class NoiseSource
      * Stochastic Z phase this source contributes on qubit q over one
      * segment of duration `tau`, with the qubit's toggling-frame
      * sign already applied where physics says it should be (frame
-     * flips refocus detunings but not dephasing jumps).  Must not
-     * draw when tau <= 0 (RNG rule 3).
+     * flips refocus detunings but not dephasing jumps).  Only
+     * called with tau > 0 (RNG rule 3).
      */
     virtual double
     segmentPhase(Shot *shot, std::uint32_t q, int frame_sign,
@@ -231,7 +235,7 @@ class NoiseSource
         return outcome;
     }
 
-    // ------------------------------------------- eligibility walks
+    // -------------------------------------------- eligibility walk
 
     /**
      * Why this source breaks Clifford (stabilizer-tableau)
@@ -242,19 +246,6 @@ class NoiseSource
      */
     virtual std::string
     cliffordBlocker() const
-    {
-        return "";
-    }
-
-    /**
-     * Why this source stops the deterministic-prefix walk at
-     * physical gates (it consumes RNG or reads per-shot state when
-     * a gate fires), or "" when gates are transparent to it.
-     * Segment eligibility is separate: any source with a segment
-     * hook already blocks segments of nonzero duration.
-     */
-    virtual std::string
-    prefixBlocker() const
     {
         return "";
     }

@@ -256,13 +256,6 @@ AmplitudeDampingSource::cliffordBlocker() const
     return "";
 }
 
-std::string
-AmplitudeDampingSource::prefixBlocker() const
-{
-    return "amplitude damping flushes the pending-T1 clock at "
-           "physical gates";
-}
-
 // ----------------------------------------------- gate depolarizing
 
 void
@@ -304,13 +297,6 @@ GateDepolarizingSource::onGate(StateBackend &state,
         if (k1)
             state.applyPauliOp(PauliOp(k1), inst.qubits[1]);
     }
-}
-
-std::string
-GateDepolarizingSource::prefixBlocker() const
-{
-    return "gate depolarizing draws a Pauli after every physical "
-           "gate";
 }
 
 // ------------------------------------------------- readout error
@@ -461,9 +447,9 @@ PhaseDriftSource::segmentPhase(Shot *shot, std::uint32_t q,
                                int frame_sign, double tau,
                                Rng &rng) const
 {
-    // One Wiener increment per (segment, qubit); zero-duration
-    // segments advance nothing and must not draw (prefix contract).
-    if (_rate == 0.0 || tau <= 0.0)
+    // One Wiener increment per (segment, qubit); the engine never
+    // calls this on a zero-duration segment (RNG rule 3).
+    if (_rate == 0.0)
         return 0.0;
     auto *vs = static_cast<ValueShot *>(shot);
     vs->value[q] += _rate * std::sqrt(tau) * rng.normal();

@@ -172,7 +172,6 @@ class AmplitudeDampingSource final : public NoiseSource
     void flushIdle(StateBackend &state, std::uint32_t q, double tau,
                    Rng &rng) const override;
     std::string cliffordBlocker() const override;
-    std::string prefixBlocker() const override;
 
   private:
     const Backend &_backend;
@@ -191,7 +190,6 @@ class GateDepolarizingSource final : public NoiseSource
     bool wantsGateHook() const override { return true; }
     void onGate(StateBackend &state, const Instruction &inst,
                 double duration, Rng &rng) const override;
-    std::string prefixBlocker() const override;
 
   private:
     const Backend &_backend;

@@ -106,13 +106,21 @@ TEST(PrefixState, ForkMatchesReplayForEveryStrategyAndBackend)
     // on: standard noise exercises the dense path (partial
     // prefixes: leading virtual gates and zero-length segments),
     // pauli noise the tableau path, ideal noise the fully-eligible
-    // timeline on both substrates.
+    // timeline on both substrates.  The coherent rows run a prefix
+    // through idle time with nonzero phases: alone it spans the
+    // whole timeline, and with a gate hook or an idle flush it ends
+    // at the first physical gate, where the fork must carry the
+    // idle clocks the prefix accrued.
     struct Config
     {
         const char *label;
         NoiseModel noise;
         SimBackendKind kind;
     };
+    NoiseModel coherent_damping = NoiseModel::coherentOnly();
+    coherent_damping.amplitudeDamping = true;
+    NoiseModel coherent_depolarizing = NoiseModel::coherentOnly();
+    coherent_depolarizing.gateDepolarizing = true;
     const std::vector<Config> configs{
         {"standard/dense", NoiseModel::standard(),
          SimBackendKind::Dense},
@@ -127,6 +135,12 @@ TEST(PrefixState, ForkMatchesReplayForEveryStrategyAndBackend)
         {"ideal/stabilizer", NoiseModel::ideal(),
          SimBackendKind::Stabilizer},
         {"ideal/auto", NoiseModel::ideal(), SimBackendKind::Auto},
+        {"coherent/dense", NoiseModel::coherentOnly(),
+         SimBackendKind::Dense},
+        {"coherent+damping/dense", coherent_damping,
+         SimBackendKind::Dense},
+        {"coherent+depolarizing/dense", coherent_depolarizing,
+         SimBackendKind::Dense},
     };
 
     const Backend backend = makeFakeLinear(4, 1);
@@ -214,46 +228,70 @@ TEST(PrefixState, IneligibleWorkloadFallsBackToFullReplay)
 TEST(PrefixState, DynamicCircuitStopsThePrefixAtTheMeasurement)
 {
     // Mid-circuit measurement + a conditional consume RNG and
-    // clbits; the walk must stop there and Auto must still match
-    // Off bit for bit.
-    LayeredCircuit circuit(3, 1);
-    Layer head{LayerKind::TwoQubit, {}};
-    head.insts.emplace_back(Op::ECR,
-                            std::vector<std::uint32_t>{0, 1});
-    circuit.addLayer(std::move(head));
-    Layer idle{LayerKind::OneQubit, {}};
-    for (std::uint32_t q = 0; q < 3; ++q)
-        idle.insts.emplace_back(Op::Delay,
-                                std::vector<std::uint32_t>{q},
-                                std::vector<double>{600.0});
-    circuit.addLayer(std::move(idle));
-    Layer measure{LayerKind::Dynamic, {}};
-    Instruction m(Op::Measure, {1});
-    m.cbit = 0;
-    measure.insts.push_back(m);
-    circuit.addLayer(std::move(measure));
-    Layer fix{LayerKind::Dynamic, {}};
-    Instruction x(Op::X, {1});
-    x.condBit = 0;
-    fix.insts.push_back(x);
-    circuit.addLayer(std::move(fix));
+    // clbits; the prefix must stop at whichever comes first and
+    // Auto must still match Off bit for bit.  Under coherent noise
+    // physical gates are shared, so the prefix runs through the ECR
+    // and the idle window up to that event: the measurement, or an
+    // early conditional that reads the still-unmeasured clbit.
+    const auto dynamicCircuit = [](bool early_conditional) {
+        LayeredCircuit circuit(3, 1);
+        Layer head{LayerKind::TwoQubit, {}};
+        head.insts.emplace_back(Op::ECR,
+                                std::vector<std::uint32_t>{0, 1});
+        circuit.addLayer(std::move(head));
+        if (early_conditional) {
+            Layer early{LayerKind::Dynamic, {}};
+            Instruction x(Op::X, {2});
+            x.condBit = 0;
+            early.insts.push_back(x);
+            circuit.addLayer(std::move(early));
+        }
+        Layer idle{LayerKind::OneQubit, {}};
+        for (std::uint32_t q = 0; q < 3; ++q)
+            idle.insts.emplace_back(Op::Delay,
+                                    std::vector<std::uint32_t>{q},
+                                    std::vector<double>{600.0});
+        circuit.addLayer(std::move(idle));
+        Layer measure{LayerKind::Dynamic, {}};
+        Instruction m(Op::Measure, {1});
+        m.cbit = 0;
+        measure.insts.push_back(m);
+        circuit.addLayer(std::move(measure));
+        Layer fix{LayerKind::Dynamic, {}};
+        Instruction x(Op::X, {1});
+        x.condBit = 0;
+        fix.insts.push_back(x);
+        circuit.addLayer(std::move(fix));
+        return circuit;
+    };
 
     const Backend backend = makeFakeLinear(3, 1);
-    SimulationEngine engine(backend, NoiseModel::standard());
     PassManager pipeline = buildPipeline(Strategy::CaDd);
     const auto obs = zObservables(3);
 
-    const RunResult replay = engine.runEnsemble(
-        circuit, pipeline, obs,
-        runOptions(SimBackendKind::Dense, PrefixStateMode::Off,
-                   /*threads=*/1));
-    for (int threads : {1, 8}) {
-        expectBitIdentical(
-            engine.runEnsemble(circuit, pipeline, obs,
-                               runOptions(SimBackendKind::Dense,
-                                          PrefixStateMode::Auto,
-                                          threads)),
-            replay, "dynamic threads=" + std::to_string(threads));
+    for (const NoiseModel &noise :
+         {NoiseModel::standard(), NoiseModel::coherentOnly()}) {
+        SimulationEngine engine(backend, noise);
+        for (bool early_conditional : {false, true}) {
+            const LayeredCircuit circuit =
+                dynamicCircuit(early_conditional);
+            const std::string label =
+                noiseModelRecipe(noise) +
+                (early_conditional ? " early conditional" : "");
+            const RunResult replay = engine.runEnsemble(
+                circuit, pipeline, obs,
+                runOptions(SimBackendKind::Dense,
+                           PrefixStateMode::Off, /*threads=*/1));
+            for (int threads : {1, 8}) {
+                expectBitIdentical(
+                    engine.runEnsemble(circuit, pipeline, obs,
+                                       runOptions(SimBackendKind::Dense,
+                                                  PrefixStateMode::Auto,
+                                                  threads)),
+                    replay,
+                    label + " threads=" + std::to_string(threads));
+            }
+        }
     }
 }
 

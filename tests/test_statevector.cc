@@ -381,7 +381,7 @@ constexpr int kPhaseShapes = 7;
  * The term shapes the fused phase kernel must handle, by index:
  *  0. a standard-noise segment: one merged deterministic Z per
  *     qubit, then a stochastic Z on the same qubits (the order
- *     applySegment appends them), chain and next-nearest ZZ;
+ *     the drawing-segment step appends them), chain and next-nearest ZZ;
  *  1. reversed (q0 > q1) and long-range pairs;
  *  2. degenerate q0 == q1 pairs among Z and ordinary pairs;
  *  3. more than four ZZ terms sharing the high qubit, duplicate
