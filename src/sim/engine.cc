@@ -435,10 +435,10 @@ resolveTrajectoryBackend(SimBackendKind requested,
       case SimBackendKind::Stabilizer:
         if (!variant.stabilizerEligible) {
             casq_fatal(
-                "circuit is not Clifford, so --backend stabilizer "
-                "cannot simulate it (",
+                "circuit is not Clifford, so --sim-backend "
+                "stabilizer cannot simulate it (",
                 variant.stabilizerBlocker,
-                "); use --backend auto or dense");
+                "); use --sim-backend auto or dense");
         }
         return SimBackendKind::Stabilizer;
       case SimBackendKind::Dense:
@@ -659,7 +659,7 @@ class TrajectoryRunner
                     _numQubits,
                     " qubits exceed the dense statevector limit "
                     "(24); a Clifford workload can run at this "
-                    "size with --backend auto or stabilizer");
+                    "size with --sim-backend auto or stabilizer");
             }
             slot = makeStateBackend(kind, _numQubits);
         }

@@ -294,10 +294,11 @@ TEST(PassManager, BuildPipelineMatchesLegacyForEveryStrategy)
     const Backend backend = testBackend();
     const LayeredCircuit circuit = equivalenceWorkload();
 
-    // The CA-EC knobs the CLI exposes (--caec-min-angle,
-    // --caec-no-rzz) must reach the reference for every CA-EC
-    // strategy, ca-ec+dd's active-only preset included.  On this
-    // workload a 0.3 rad threshold is the one that moves ca-ec+dd.
+    // The library's CA-EC knobs (CaecOptions::minAngle and
+    // insertRzz; no CLI flag sets them) must reach the reference
+    // for every CA-EC strategy, ca-ec+dd's active-only preset
+    // included.  On this workload a 0.3 rad threshold is the one
+    // that moves ca-ec+dd.
     std::vector<CaecOptions> caec_cases(4);
     caec_cases[1].minAngle = 0.05;
     caec_cases[2].minAngle = 0.3;

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serialize.hh"
+#include "mutation.hh"
 #include "passes/pipeline.hh"
 #include "sim/shard.hh"
 
@@ -323,6 +324,60 @@ TEST(Serialize, ByteFlipSweepNeverCrashes)
     // The structural prefix (magic, version, counts, opcodes) must
     // reject corruption; only payload-value bytes may pass.
     EXPECT_GT(rejected, bytes.size() / 4);
+}
+
+TEST(Serialize, MutatedSpecsDecodeOrThrow)
+{
+    // Multi-edit mutants (inserts, erases, duplicated slices,
+    // truncations) shift every later field, which single-byte flips
+    // never do; each must decode to a re-encodable spec or throw.
+    Rng rng(20261020);
+    std::size_t rejected = 0;
+    constexpr int kMutants = 2000;
+    for (int trial = 0; trial < kMutants; ++trial) {
+        Rng source = rng.derive(std::uint64_t(trial % 16));
+        auto bytes = randomSpec(source).encode();
+        test::mutate(bytes, rng);
+        try {
+            const ShardSpec spec = ShardSpec::decode(bytes);
+            EXPECT_EQ(ShardSpec::decode(spec.encode()).encode(),
+                      spec.encode())
+                << "trial " << trial;
+        } catch (const SerializeError &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, std::size_t(kMutants / 2));
+}
+
+TEST(Serialize, MutatedNoiseRecipesParseOrThrow)
+{
+    // The --noise grammar every tool reaches through the one
+    // run-flag parser: a mutant either parses to a model whose
+    // rendered recipe parses back to the same model, or throws.
+    const std::vector<std::string> seeds = {
+        "standard", "pauli:0.5", "ideal+corr:0.02:2",
+        "coherent+drift:0.001", "standard:2+corr+drift:0.002"};
+    const std::string alphabet =
+        "standardpaulicoherentidealcorrdrift+:.-0123456789eExp";
+    Rng rng(20261021);
+    std::size_t parsed = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::string recipe = seeds[rng.uniformInt(seeds.size())];
+        test::mutate(recipe, rng, alphabet);
+        try {
+            const NoiseModel model = noiseModelFromRecipe(recipe);
+            ++parsed;
+            EXPECT_EQ(noiseModelFromRecipe(noiseModelRecipe(model)),
+                      model)
+                << "'" << recipe << "'";
+        } catch (const SerializeError &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(parsed, 200u);
+    EXPECT_GT(rejected, 200u);
 }
 
 TEST(Serialize, ImplausibleBackendWidthRejectedAtDecode)

@@ -20,6 +20,7 @@
 
 #include "bench_common.hh"
 #include "common/serialize.hh"
+#include "mutation.hh"
 #include "service/job_service.hh"
 #include "service/protocol.hh"
 #include "service/socket.hh"
@@ -488,6 +489,126 @@ TEST(ServiceProtocol, RejectsForeignAndCorruptFrames)
     // Wrong message type for the decoder.
     EXPECT_THROW(StatusRequest::decode(PingRequest{}.encode()),
                  SerializeError);
+}
+
+/** Decode a frame with the decoder its header names. */
+void
+decodeFrame(const std::vector<std::uint8_t> &frame)
+{
+    switch (peekMessageType(frame)) {
+      case MessageType::SubmitRequest:
+        (void)SubmitRequest::decode(frame).job.work.encode();
+        return;
+      case MessageType::StatusRequest:
+        (void)StatusRequest::decode(frame);
+        return;
+      case MessageType::ListRequest:
+        (void)ListRequest::decode(frame);
+        return;
+      case MessageType::StatsRequest:
+        (void)StatsRequest::decode(frame);
+        return;
+      case MessageType::ResultRequest:
+        (void)ResultRequest::decode(frame);
+        return;
+      case MessageType::CancelRequest:
+        (void)CancelRequest::decode(frame);
+        return;
+      case MessageType::ShutdownRequest:
+        (void)ShutdownRequest::decode(frame);
+        return;
+      case MessageType::PingRequest:
+        (void)PingRequest::decode(frame);
+        return;
+      case MessageType::SubmitReply:
+        (void)SubmitReply::decode(frame);
+        return;
+      case MessageType::StatusReply:
+        (void)StatusReply::decode(frame);
+        return;
+      case MessageType::ListReply:
+        (void)ListReply::decode(frame);
+        return;
+      case MessageType::StatsReply:
+        (void)StatsReply::decode(frame);
+        return;
+      case MessageType::ResultReply:
+        (void)ResultReply::decode(frame);
+        return;
+      case MessageType::CancelReply:
+        (void)CancelReply::decode(frame);
+        return;
+      case MessageType::ShutdownReply:
+        (void)ShutdownReply::decode(frame);
+        return;
+      case MessageType::PingReply:
+        (void)PingReply::decode(frame);
+        return;
+      case MessageType::ErrorReply:
+        (void)ErrorReply::decode(frame);
+        return;
+    }
+    ADD_FAILURE() << "peekMessageType passed an unknown type";
+}
+
+TEST(ServiceProtocol, MutatedFramesDecodeOrThrow)
+{
+    // Seeded mutation loop over one valid frame of every message
+    // type: each mutant must decode or throw SerializeError.
+    SubmitRequest submit;
+    submit.job = testJob("fuzz");
+    StatusReply status;
+    status.job.id = "j";
+    status.job.shards.resize(2);
+    status.job.shards[1].state = ShardState::Done;
+    ListReply list;
+    list.jobs = {status.job, status.job};
+    ResultReply result;
+    result.job = status.job;
+    result.job.state = JobState::Done;
+    result.result.means = {0.5, -0.25};
+    result.result.stderrs = {0.01, 0.02};
+    result.result.trajectories = 61;
+    ResultRequest fetch;
+    fetch.id = "j";
+    fetch.wait = true;
+    ErrorReply error;
+    error.kind = ErrorReply::Kind::Admission;
+    error.message = "no";
+    const std::vector<std::vector<std::uint8_t>> corpus = {
+        submit.encode(),
+        StatusRequest{"j"}.encode(),
+        ListRequest{}.encode(),
+        StatsRequest{}.encode(),
+        fetch.encode(),
+        CancelRequest{"j"}.encode(),
+        ShutdownRequest{}.encode(),
+        PingRequest{}.encode(),
+        SubmitReply{}.encode(),
+        status.encode(),
+        list.encode(),
+        StatsReply{}.encode(),
+        result.encode(),
+        CancelReply{}.encode(),
+        ShutdownReply{}.encode(),
+        PingReply{}.encode(),
+        error.encode()};
+    for (const auto &frame : corpus)
+        EXPECT_NO_THROW(decodeFrame(frame));
+
+    Rng rng(20261022);
+    std::size_t rejected = 0;
+    constexpr int kMutants = 4000;
+    for (int trial = 0; trial < kMutants; ++trial) {
+        auto frame = corpus[std::size_t(trial) % corpus.size()];
+        test::mutate(frame, rng);
+        try {
+            decodeFrame(frame);
+        } catch (const SerializeError &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, std::size_t(kMutants / 2));
 }
 
 // ------------------------------------- corrupt-payload rendering

@@ -27,13 +27,13 @@
 #include <cstring>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "service/protocol.hh"
 #include "service/socket.hh"
+#include "run_flags.hh"
 #include "tool_common.hh"
 
 using namespace casq;
@@ -48,7 +48,7 @@ usage(std::ostream &os, int code)
     os << "usage: casq_job <command> --socket PATH [options]\n"
           "\n"
           "commands:\n"
-          "  submit  --id ID [workload options] [--shards S]\n"
+          "  submit  --id ID [run flags] [--shards S]\n"
           "  status  --id ID\n"
           "  list\n"
           "  stats\n"
@@ -56,24 +56,9 @@ usage(std::ostream &os, int code)
           "  cancel  --id ID\n"
           "  shutdown\n"
           "  ping\n"
-          "\n"
-          "submit workload options (casq_shard plan semantics):\n"
-          "  --qubits N --depth D --strategy NAME\n"
-          "  --backend NAME --backend-seed X\n"
-          "  --instances M --traj T --seed S --compile-seed C\n"
-          "  --shards S --no-twirl --native --no-prefix-cache\n"
-          "  --sim-backend auto|dense|stabilizer\n"
-          "  --noise RECIPE (base[:scale] + extras; docs/noise.md)\n"
-          "  --prefix-state auto|off\n";
+          "\n";
+    tool::printRunFlagUsage(os, tool::RunFlags{});
     return code;
-}
-
-const char *
-value(int argc, char **argv, int &i, const char *flag)
-{
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc)
-        return argv[++i];
-    return nullptr;
 }
 
 /** One request/reply round trip; ErrorReply rethrows typed. */
@@ -146,82 +131,19 @@ int
 cmdSubmit(const std::string &socket_path, int argc, char **argv)
 {
     JobSpec job;
-    ShardSpec &spec = job.work;
-    std::size_t qubits = 8;
-    int depth = 16;
-
-    constexpr long long kMaxInt = std::numeric_limits<int>::max();
+    tool::RunFlags run;
     for (int i = 2; i < argc; ++i) {
-        if (value(argc, argv, i, "--socket")) {
+        if (run.consume(argc, argv, i))
+            continue;
+        if (tool::flagValue(argc, argv, i, "--socket")) {
             // consumed by main
-        } else if (const char *v = value(argc, argv, i, "--id")) {
+        } else if (const char *v =
+                       tool::flagValue(argc, argv, i, "--id")) {
             job.id = v;
         } else if (const char *v =
-                       value(argc, argv, i, "--shards")) {
-            spec.shardCount = std::uint32_t(
+                       tool::flagValue(argc, argv, i, "--shards")) {
+            run.spec.shardCount = std::uint32_t(
                 bench::checkedInt("--shards", v, 1, 1 << 20));
-        } else if (const char *v =
-                       value(argc, argv, i, "--qubits")) {
-            qubits = std::size_t(
-                bench::checkedInt("--qubits", v, 1, 1 << 20));
-        } else if (const char *v = value(argc, argv, i, "--depth")) {
-            depth =
-                int(bench::checkedInt("--depth", v, 0, kMaxInt));
-        } else if (const char *v =
-                       value(argc, argv, i, "--strategy")) {
-            spec.strategy = v;
-        } else if (const char *v =
-                       value(argc, argv, i, "--backend")) {
-            spec.backend = backendRecipeFromName(v);
-        } else if (const char *v =
-                       value(argc, argv, i, "--backend-seed")) {
-            spec.backendSeed =
-                bench::checkedUInt64("--backend-seed", v);
-        } else if (const char *v =
-                       value(argc, argv, i, "--instances")) {
-            spec.instances = int(
-                bench::checkedInt("--instances", v, 1, kMaxInt));
-        } else if (const char *v = value(argc, argv, i, "--traj")) {
-            spec.trajectories =
-                int(bench::checkedInt("--traj", v, 1, kMaxInt));
-        } else if (const char *v = value(argc, argv, i, "--seed")) {
-            spec.seed = bench::checkedUInt64("--seed", v);
-        } else if (const char *v =
-                       value(argc, argv, i, "--compile-seed")) {
-            spec.compileSeed =
-                bench::checkedUInt64("--compile-seed", v);
-        } else if (const char *v =
-                       value(argc, argv, i, "--sim-backend")) {
-            const auto kind = simBackendKindFromName(v);
-            if (!kind) {
-                std::cerr << "submit: unknown simulation backend '"
-                          << v << "'\n";
-                return 1;
-            }
-            spec.simBackend = *kind;
-        } else if (const char *v = value(argc, argv, i, "--noise")) {
-            try {
-                spec.noise = noiseModelFromRecipe(v);
-            } catch (const SerializeError &err) {
-                std::cerr << "submit: bad noise recipe '" << v
-                          << "': " << err.what() << "\n";
-                return 1;
-            }
-        } else if (const char *v =
-                       value(argc, argv, i, "--prefix-state")) {
-            const auto mode = prefixStateModeFromName(v);
-            if (!mode) {
-                std::cerr << "submit: unknown prefix-state mode '"
-                          << v << "'\n";
-                return 1;
-            }
-            spec.prefixState = *mode;
-        } else if (std::strcmp(argv[i], "--no-twirl") == 0) {
-            spec.twirl = false;
-        } else if (std::strcmp(argv[i], "--native") == 0) {
-            spec.lowerToNative = true;
-        } else if (std::strcmp(argv[i], "--no-prefix-cache") == 0) {
-            spec.prefixCache = false;
         } else {
             std::cerr << "submit: unknown argument '" << argv[i]
                       << "'\n";
@@ -233,13 +155,7 @@ cmdSubmit(const std::string &socket_path, int argc, char **argv)
         return 1;
     }
 
-    spec.shardIndex = 0;
-    spec.logical = bench::syntheticChainWorkload(
-        qubits, depth, /*idle_layers=*/true);
-    spec.backendQubits = std::uint32_t(qubits);
-    for (std::uint32_t q = 0; q < qubits; ++q)
-        spec.observables.push_back(
-            PauliString::single(qubits, q, PauliOp::Z));
+    job.work = run.finish();
 
     SubmitRequest request;
     request.job = std::move(job);
@@ -359,10 +275,8 @@ cmdCancel(const std::string &socket_path, const std::string &id)
     return 1;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+jobMain(int argc, char **argv)
 {
     if (argc < 2)
         return usage(std::cerr, 1);
@@ -375,9 +289,10 @@ main(int argc, char **argv)
     bool wait = false;
     bool hexfloat = false;
     for (int i = 2; i < argc; ++i) {
-        if (const char *v = value(argc, argv, i, "--socket"))
+        if (const char *v =
+                tool::flagValue(argc, argv, i, "--socket"))
             socket_path = v;
-        else if (const char *v = value(argc, argv, i, "--id"))
+        else if (const char *v = tool::flagValue(argc, argv, i, "--id"))
             id = v;
         else if (std::strcmp(argv[i], "--wait") == 0)
             wait = true;
@@ -389,46 +304,52 @@ main(int argc, char **argv)
         return usage(std::cerr, 1);
     }
 
-    try {
-        if (command == "submit")
-            return cmdSubmit(socket_path, argc, argv);
-        if (command == "status" || command == "result" ||
-            command == "cancel") {
-            if (id.empty()) {
-                std::cerr << command << ": need --id ID\n";
-                return 1;
-            }
+    if (command == "submit")
+        return cmdSubmit(socket_path, argc, argv);
+    if (command == "status" || command == "result" ||
+        command == "cancel") {
+        if (id.empty()) {
+            std::cerr << command << ": need --id ID\n";
+            return 1;
         }
-        if (command == "status")
-            return cmdStatus(socket_path, id);
-        if (command == "list")
-            return cmdList(socket_path);
-        if (command == "stats")
-            return cmdStats(socket_path);
-        if (command == "result")
-            return cmdResult(socket_path, id, wait, hexfloat);
-        if (command == "cancel")
-            return cmdCancel(socket_path, id);
-        if (command == "shutdown") {
-            (void)ShutdownReply::decode(roundTrip(
-                socket_path, ShutdownRequest{}.encode()));
-            std::cerr << "daemon shutting down\n";
-            return 0;
-        }
-        if (command == "ping") {
-            (void)PingReply::decode(
-                roundTrip(socket_path, PingRequest{}.encode()));
-            std::cerr << "pong\n";
-            return 0;
-        }
-    } catch (const BackpressureError &err) {
-        std::cerr << "casq_job: " << err.what() << "\n";
-        return kExitBackpressure;
-    } catch (const std::exception &err) {
-        std::cerr << "casq_job: " << tool::describeError("", err)
-                  << "\n";
-        return 1;
+    }
+    if (command == "status")
+        return cmdStatus(socket_path, id);
+    if (command == "list")
+        return cmdList(socket_path);
+    if (command == "stats")
+        return cmdStats(socket_path);
+    if (command == "result")
+        return cmdResult(socket_path, id, wait, hexfloat);
+    if (command == "cancel")
+        return cmdCancel(socket_path, id);
+    if (command == "shutdown") {
+        (void)ShutdownReply::decode(
+            roundTrip(socket_path, ShutdownRequest{}.encode()));
+        std::cerr << "daemon shutting down\n";
+        return 0;
+    }
+    if (command == "ping") {
+        (void)PingReply::decode(
+            roundTrip(socket_path, PingRequest{}.encode()));
+        std::cerr << "pong\n";
+        return 0;
     }
     std::cerr << "unknown command '" << command << "'\n";
     return usage(std::cerr, 1);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tool::runTool("casq_job", [&]() -> int {
+        try {
+            return jobMain(argc, argv);
+        } catch (const BackpressureError &err) {
+            std::cerr << "casq_job: " << err.what() << "\n";
+            return kExitBackpressure;
+        }
+    });
 }

@@ -25,13 +25,13 @@
 #include <cstring>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "common/serialize.hh"
 #include "sim/shard.hh"
+#include "run_flags.hh"
 #include "tool_common.hh"
 
 using namespace casq;
@@ -44,7 +44,7 @@ usage(std::ostream &os, int code)
     os << "usage: casq_shard <command> [options]\n"
           "\n"
           "commands:\n"
-          "  plan   --shards S --out PREFIX [workload options]\n"
+          "  plan   --shards S --out PREFIX [run flags]\n"
           "         write PREFIX.<k>of<S>.spec for every shard\n"
           "  run    --spec FILE --out FILE [--threads N]\n"
           "         execute one shard spec into a result file\n"
@@ -53,42 +53,9 @@ usage(std::ostream &os, int code)
           "         go to stdout, narration to stderr\n"
           "  describe FILE\n"
           "         pretty-print a spec or result payload\n"
-          "\n"
-          "plan workload options:\n"
-          "  --qubits N        chain length (default 8)\n"
-          "  --depth D         ECR/idle layer pairs (default 16)\n"
-          "  --strategy NAME   suppression strategy (default ca-dd)\n"
-          "  --backend NAME    linear|ring|nazca|sherbrooke\n"
-          "                    (default linear)\n"
-          "  --backend-seed X  device calibration seed\n"
-          "  --instances M     twirled instances (default 8)\n"
-          "  --traj T          total trajectories (default 200)\n"
-          "  --seed S          simulation master seed\n"
-          "  --compile-seed C  compilation master seed\n"
-          "  --no-twirl        disable Pauli twirling\n"
-          "  --native          lower to the native gate set\n"
-          "  --sim-backend B   auto|dense|stabilizer simulation\n"
-          "                    substrate (default dense)\n"
-          "  --noise M         noise recipe: base[:scale] of\n"
-          "                    standard|pauli|ideal|coherent plus\n"
-          "                    +corr[:sig[:len]] / +drift[:rate]\n"
-          "                    extras (default standard;\n"
-          "                    docs/noise.md)\n"
-          "  --no-prefix-cache recompile the pass prefix per "
-          "instance\n"
-          "  --prefix-state M  auto|off trajectory prefix-state\n"
-          "                    checkpoint reuse (default auto;\n"
-          "                    never changes any result bit)\n";
+          "\n";
+    tool::printRunFlagUsage(os, tool::RunFlags{});
     return code;
-}
-
-/** --flag VALUE helper over argv[i..]. */
-const char *
-value(int argc, char **argv, int &i, const char *flag)
-{
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc)
-        return argv[++i];
-    return nullptr;
 }
 
 std::string
@@ -104,105 +71,30 @@ cmdPlan(int argc, char **argv)
 {
     std::uint32_t shards = 1;
     std::string out;
-    ShardSpec spec;
-    spec.backendQubits = 8;
-    std::size_t qubits = 8;
-    int depth = 16;
-    spec.seed = 1234;
-    spec.compileSeed = 0;
-
-    constexpr long long kMaxInt =
-        std::numeric_limits<int>::max();
+    tool::RunFlags run;
     for (int i = 2; i < argc; ++i) {
-        if (const char *v = value(argc, argv, i, "--shards")) {
+        if (run.consume(argc, argv, i))
+            continue;
+        if (const char *v =
+                tool::flagValue(argc, argv, i, "--shards")) {
             shards = std::uint32_t(
                 bench::checkedInt("--shards", v, 1, 1 << 20));
-        } else if (const char *v = value(argc, argv, i, "--out")) {
+        } else if (const char *v =
+                       tool::flagValue(argc, argv, i, "--out")) {
             out = v;
-        } else if (const char *v = value(argc, argv, i, "--qubits")) {
-            qubits = std::size_t(
-                bench::checkedInt("--qubits", v, 1, 1 << 20));
-        } else if (const char *v = value(argc, argv, i, "--depth")) {
-            depth = int(bench::checkedInt("--depth", v, 0, kMaxInt));
-        } else if (const char *v =
-                       value(argc, argv, i, "--strategy")) {
-            spec.strategy = v;
-        } else if (const char *v =
-                       value(argc, argv, i, "--backend")) {
-            spec.backend = backendRecipeFromName(v);
-        } else if (const char *v =
-                       value(argc, argv, i, "--backend-seed")) {
-            spec.backendSeed =
-                bench::checkedUInt64("--backend-seed", v);
-        } else if (const char *v =
-                       value(argc, argv, i, "--instances")) {
-            spec.instances = int(
-                bench::checkedInt("--instances", v, 1, kMaxInt));
-        } else if (const char *v = value(argc, argv, i, "--traj")) {
-            spec.trajectories =
-                int(bench::checkedInt("--traj", v, 1, kMaxInt));
-        } else if (const char *v = value(argc, argv, i, "--seed")) {
-            spec.seed = bench::checkedUInt64("--seed", v);
-        } else if (const char *v =
-                       value(argc, argv, i, "--compile-seed")) {
-            spec.compileSeed =
-                bench::checkedUInt64("--compile-seed", v);
-        } else if (const char *v =
-                       value(argc, argv, i, "--sim-backend")) {
-            const auto kind = simBackendKindFromName(v);
-            if (!kind) {
-                std::cerr << "plan: unknown simulation backend '"
-                          << v << "'\n";
-                return 1;
-            }
-            spec.simBackend = *kind;
-        } else if (const char *v = value(argc, argv, i, "--noise")) {
-            try {
-                spec.noise = noiseModelFromRecipe(v);
-            } catch (const SerializeError &err) {
-                std::cerr << "plan: bad noise recipe '" << v
-                          << "': " << err.what() << "\n";
-                return 1;
-            }
-        } else if (const char *v =
-                       value(argc, argv, i, "--prefix-state")) {
-            const auto mode = prefixStateModeFromName(v);
-            if (!mode) {
-                std::cerr << "plan: unknown prefix-state mode '"
-                          << v << "'\n";
-                return 1;
-            }
-            spec.prefixState = *mode;
-        } else if (std::strcmp(argv[i], "--no-twirl") == 0) {
-            spec.twirl = false;
-        } else if (std::strcmp(argv[i], "--native") == 0) {
-            spec.lowerToNative = true;
-        } else if (std::strcmp(argv[i], "--no-prefix-cache") == 0) {
-            spec.prefixCache = false;
         } else {
             std::cerr << "plan: unknown argument '" << argv[i]
                       << "'\n";
             return usage(std::cerr, 1);
         }
     }
-    if (shards < 1 || out.empty()) {
-        std::cerr << "plan: need --shards >= 1 and --out PREFIX\n";
-        return 1;
-    }
-    if (!strategyFromName(spec.strategy)) {
-        std::cerr << "plan: unknown strategy '" << spec.strategy
-                  << "'\n";
+    if (out.empty()) {
+        std::cerr << "plan: need --out PREFIX\n";
         return 1;
     }
 
+    ShardSpec spec = run.finish();
     spec.shardCount = shards;
-    spec.logical = bench::syntheticChainWorkload(
-        qubits, depth, /*idle_layers=*/true);
-    spec.backendQubits = std::uint32_t(qubits);
-    for (std::uint32_t q = 0; q < qubits; ++q)
-        spec.observables.push_back(
-            PauliString::single(qubits, q, PauliOp::Z));
-
     // One spec per shard; only the shard index differs, so every
     // file shares the job fingerprint `merge` checks.
     for (std::uint32_t k = 0; k < shards; ++k) {
@@ -226,12 +118,14 @@ cmdRun(int argc, char **argv)
     std::string spec_path, out_path;
     int threads = 1;
     for (int i = 2; i < argc; ++i) {
-        if (const char *v = value(argc, argv, i, "--spec")) {
+        if (const char *v =
+                tool::flagValue(argc, argv, i, "--spec")) {
             spec_path = v;
-        } else if (const char *v = value(argc, argv, i, "--out")) {
+        } else if (const char *v =
+                       tool::flagValue(argc, argv, i, "--out")) {
             out_path = v;
         } else if (const char *v =
-                       value(argc, argv, i, "--threads")) {
+                       tool::flagValue(argc, argv, i, "--threads")) {
             threads =
                 int(bench::checkedInt("--threads", v, 0, 4096));
         } else {

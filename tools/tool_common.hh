@@ -1,11 +1,12 @@
 /**
  * @file
- * Shared glue for the command-line tools (casq_shard, casq_serve,
- * casq_job): every payload-decode failure and every top-level error
- * funnels through the helpers here, so all three tools render the
- * same canonical diagnostic -- "file: byte N: message" for corrupt
- * payloads (describePayloadError), "file: message" for other file
- * failures, and "<tool>: message" at the top level.
+ * Shared glue for the command-line tools (casq_compile, casq_shard,
+ * casq_serve, casq_job): every payload-decode failure and every
+ * top-level error funnels through the helpers here, so all four
+ * tools render the same canonical diagnostic -- "file: byte N:
+ * message" for corrupt payloads (describePayloadError), "file:
+ * message" for other file failures, and "<tool>: message" at the
+ * top level.
  */
 
 #ifndef CASQ_TOOLS_TOOL_COMMON_HH
