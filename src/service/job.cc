@@ -135,18 +135,16 @@ validateJobSpec(const JobSpec &job, const AdmissionLimits &limits)
                " overflows the shard slot format (u32)");
     }
 
-    // The fixed-topology recipes carry their own width; the
-    // parameterized ones must agree with the circuit so
+    // Every recipe's device width must agree with the circuit, so
     // executeShard's backend/circuit width check cannot fail after
     // admission.
-    if (work.backend == BackendRecipe::Linear ||
-        work.backend == BackendRecipe::Ring) {
-        if (work.backendQubits != work.logical.numQubits()) {
-            reject("backend recipe builds " +
-                   std::to_string(work.backendQubits) +
-                   " qubits but the circuit has " +
-                   std::to_string(work.logical.numQubits()));
-        }
+    const std::uint32_t device_qubits =
+        backendRecipeQubits(work.backend, work.backendQubits);
+    if (device_qubits != work.logical.numQubits()) {
+        reject("backend recipe " + backendRecipeName(work.backend) +
+               " builds " + std::to_string(device_qubits) +
+               " qubits but the circuit has " +
+               std::to_string(work.logical.numQubits()));
     }
 
     // The noise configuration was validated field by field when the

@@ -818,6 +818,27 @@ splitRange(int total, int blocks)
     return ranges;
 }
 
+/** A variant must span exactly the backend's qubits. */
+void
+checkWidth(const ScheduledCircuit &circuit, const Backend &backend)
+{
+    casq_assert(circuit.numQubits() == backend.numQubits(),
+                "circuit width ", circuit.numQubits(),
+                " != backend width ", backend.numQubits());
+}
+
+/** Reduce a one-shard run (slot ordinal = trajectory index). */
+RunResult
+reduceWhole(const ShardSlots &whole, int trajectories,
+            std::size_t observables)
+{
+    RunResult result = reduceTrajectorySlots(
+        whole.slots, std::size_t(trajectories), observables);
+    result.stabilizerTrajectories = int(whole.stabilizerTrajectories);
+    result.prefixStateHits = whole.prefixStateHits;
+    return result;
+}
+
 } // namespace
 
 // ---------------------------------------------------------- engine
@@ -858,9 +879,7 @@ std::shared_ptr<const CompiledVariant>
 SimulationEngine::compiledVariant(const ScheduledCircuit &circuit,
                                   bool use_cache)
 {
-    casq_assert(circuit.numQubits() == _backend.numQubits(),
-                "circuit width ", circuit.numQubits(),
-                " != backend width ", _backend.numQubits());
+    checkWidth(circuit, _backend);
     const std::uint64_t print = scheduleFingerprint(circuit);
     if (use_cache) {
         std::lock_guard<std::mutex> lock(_cacheMutex);
@@ -950,79 +969,17 @@ SimulationEngine::run(const std::vector<ScheduledCircuit> &variants,
                       const std::vector<PauliString> &observables,
                       const ExecutionOptions &opts)
 {
-    casq_assert(!variants.empty(), "no circuit variants to run");
-    casq_assert(opts.trajectories > 0, "need at least 1 trajectory");
-
-    std::vector<std::shared_ptr<const CompiledVariant>> compiled;
-    compiled.reserve(variants.size());
-    // Classical registers may differ across variants (a compiled
-    // instance can add or drop measurements); one runner serves all
-    // of them, so size its register file to the widest variant.
-    std::size_t num_clbits = 0;
-    for (const auto &v : variants) {
-        num_clbits = std::max(num_clbits, v.numClbits());
-        compiled.push_back(
-            compiledVariant(v, opts.cacheVariants));
-    }
-
-    const Rng master(opts.seed);
-    const std::size_t total = std::size_t(opts.trajectories);
-    const std::size_t K = observables.size();
-    std::vector<double> slots(total * K);
-
-    // Resolve the routing up front: validates a forced stabilizer
-    // request on the calling thread and yields the deterministic
-    // per-kind trajectory counts (trajectory t's substrate is a
-    // pure function of (opts.backend, variant t mod V)).
-    int stab_traj = 0;
-    std::uint64_t prefix_hits = 0;
-    for (std::size_t t = 0; t < total; ++t) {
-        const auto &variant = *compiled[t % compiled.size()];
-        if (resolveTrajectoryBackend(opts.backend, variant) ==
-            SimBackendKind::Stabilizer) {
-            ++stab_traj;
-        }
-        if (opts.prefixState == PrefixStateMode::Auto &&
-            variant.prefixEvents > 0) {
-            ++prefix_hits;
-        }
-    }
-
-    const auto simulateRange = [&](int t0, int t1) {
-        TrajectoryRunner runner(_backend, _sources,
-                                _backend.numQubits(), num_clbits);
-        for (int t = t0; t < t1; ++t) {
-            Rng rng = master.derive(std::uint64_t(t));
-            const auto &variant = *compiled[t % compiled.size()];
-            runner.run(variant, rng, observables,
-                       slots.data() + std::size_t(t) * K,
-                       opts.backend, opts.prefixState);
-        }
-    };
-
-    const unsigned threads = std::min<std::size_t>(
-        ThreadPool::resolveThreads(
-            unsigned(std::max(0, opts.threads))),
-        total);
-    if (threads <= 1) {
-        simulateRange(0, int(total));
-    } else {
-        // Oversplit so work stealing can fix stragglers (variants
-        // of different depth cost different amounts per shot).
-        ThreadPool &workers = pool(threads);
-        for (const auto &[t0, t1] :
-             splitRange(int(total), int(threads) * 4)) {
-            workers.submit(
-                [&simulateRange, t0 = t0, t1 = t1] {
-                    simulateRange(t0, t1);
-                });
-        }
-        workers.wait();
-    }
-    RunResult result = reduceTrajectorySlots(slots, total, K);
-    result.stabilizerTrajectories = stab_traj;
-    result.prefixStateHits = prefix_hits;
-    return result;
+    // Width is checked for every variant, including those no
+    // trajectory executes and so the driver never builds.
+    for (const auto &v : variants)
+        checkWidth(v, _backend);
+    const ShardSlots whole = runVariants(
+        variants.size(),
+        [&](std::size_t i) {
+            return compiledVariant(variants[i], opts.cacheVariants);
+        },
+        observables, opts, 0, 1);
+    return reduceWhole(whole, opts.trajectories, observables.size());
 }
 
 RunResult
@@ -1031,15 +988,9 @@ SimulationEngine::runEnsemble(
     const std::vector<PauliString> &observables,
     const EnsembleRunOptions &opts)
 {
-    // The one-shard split owns every trajectory, ordinal = index.
-    const ShardSlots whole =
-        runShard(logical, pipeline, observables, opts, 0, 1);
-    RunResult result =
-        reduceTrajectorySlots(whole.slots, std::size_t(opts.trajectories),
-                              observables.size());
-    result.stabilizerTrajectories = int(whole.stabilizerTrajectories);
-    result.prefixStateHits = whole.prefixStateHits;
-    return result;
+    return reduceWhole(
+        runShard(logical, pipeline, observables, opts, 0, 1),
+        opts.trajectories, observables.size());
 }
 
 ShardSlots
@@ -1049,25 +1000,41 @@ SimulationEngine::runShard(
     const EnsembleRunOptions &opts, std::uint32_t shard_index,
     std::uint32_t shard_count)
 {
+    EnsembleOptions compile;
+    compile.instances = opts.instances;
+    compile.seed = opts.compileSeed;
+    compile.prefixCache = opts.prefixCache;
+    compile.threads = 1; // the driver's pool owns the workers
+    const EnsemblePlan plan =
+        pipeline.planEnsemble(logical, _backend, compile);
+    if (plan.prefixLength() > 0)
+        debug("shard ", shard_index, "/", shard_count, ": ",
+              plan.prefixLength(), " deterministic prefix "
+              "pass(es) compiled once");
+    return runVariants(
+        std::size_t(plan.instanceCount()),
+        [&](std::size_t i) {
+            return compiledVariant(plan.compileInstance(i).scheduled,
+                                   opts.cacheVariants);
+        },
+        observables, opts, shard_index, shard_count);
+}
+
+ShardSlots
+SimulationEngine::runVariants(
+    std::size_t variant_count, const VariantSource &variantOf,
+    const std::vector<PauliString> &observables,
+    const ExecutionOptions &opts, std::uint32_t shard_index,
+    std::uint32_t shard_count)
+{
+    casq_assert(variant_count > 0, "no circuit variants to run");
     casq_assert(shard_count >= 1, "need at least one shard");
     casq_assert(shard_index < shard_count, "shard index ",
                 shard_index, " out of range for ", shard_count,
                 " shard(s)");
     casq_assert(opts.trajectories > 0, "need at least 1 trajectory");
 
-    EnsembleOptions compile;
-    compile.instances = opts.instances;
-    compile.seed = opts.compileSeed;
-    compile.prefixCache = opts.prefixCache;
-    compile.threads = 1; // the pool below owns the workers
-    const EnsemblePlan plan =
-        pipeline.planEnsemble(logical, _backend, compile);
-
-    const std::size_t V = std::size_t(plan.instanceCount());
-    if (plan.prefixLength() > 0)
-        debug("shard ", shard_index, "/", shard_count, ": ",
-              plan.prefixLength(), " deterministic prefix "
-              "pass(es) compiled once");
+    const std::size_t V = variant_count;
     const std::size_t total = std::size_t(opts.trajectories);
     const std::size_t K = observables.size();
     const std::size_t S = shard_count;
@@ -1076,9 +1043,9 @@ SimulationEngine::runShard(
 
     // This shard owns global trajectories t = k0, k0 + S, ...; the
     // j-th of them writes slot j.  Group the owned trajectories by
-    // the instance they execute (t mod V) so each needed instance
-    // compiles exactly once -- when S divides V this grouping visits
-    // exactly the instances i = k0 (mod S).
+    // the variant they execute (t mod V) so each needed variant is
+    // built exactly once -- when S divides V this grouping visits
+    // exactly the variants i = k0 (mod S).
     const std::size_t owned =
         total > k0 ? (total - k0 + S - 1) / S : 0;
     std::vector<std::vector<std::size_t>> ordinals_of(V);
@@ -1092,13 +1059,16 @@ SimulationEngine::runShard(
             out.instances.push_back(std::uint32_t(i));
     out.fingerprints.assign(out.instances.size(), 0);
 
+    // Each runner is sized to its own variant's classical register;
+    // the register is cleared every trajectory, so its size cannot
+    // change a bit.
     const auto simulateOrdinals =
-        [&](const CompiledVariant &variant, std::size_t num_clbits,
+        [&](const CompiledVariant &variant,
             const std::vector<std::size_t> &ordinals,
             std::size_t o0, std::size_t o1) {
-            TrajectoryRunner runner(_backend, _sources,
-                                    _backend.numQubits(),
-                                    num_clbits);
+            TrajectoryRunner runner(
+                _backend, _sources, _backend.numQubits(),
+                variant.timeline.circuit().numClbits());
             for (std::size_t o = o0; o < o1; ++o) {
                 const std::size_t j = ordinals[o];
                 const std::size_t t = k0 + j * S;
@@ -1108,19 +1078,13 @@ SimulationEngine::runShard(
                            opts.prefixState);
             }
         };
-    // Routing counts, taken by the compile tasks (integer sums, so
+    // Routing counts, taken by the build tasks (integer sums, so
     // the task order cannot change them).
     std::atomic<std::uint64_t> stabilizer_runs{0};
     std::atomic<std::uint64_t> prefix_runs{0};
-    const auto compileAndRecord =
-        [&](std::size_t n) -> std::pair<
-            std::shared_ptr<const CompiledVariant>, std::size_t> {
+    const auto buildAndRecord = [&](std::size_t n) {
         const std::size_t i = out.instances[n];
-        CompilationResult instance = plan.compileInstance(i);
-        const std::size_t num_clbits =
-            instance.scheduled.numClbits();
-        const auto variant = compiledVariant(instance.scheduled,
-                                             opts.cacheVariants);
+        auto variant = variantOf(i);
         out.fingerprints[n] = variant->fingerprint;
         const std::uint64_t runs = ordinals_of[i].size();
         if (resolveTrajectoryBackend(opts.backend, *variant) ==
@@ -1131,41 +1095,38 @@ SimulationEngine::runShard(
             variant->prefixEvents > 0) {
             prefix_runs += runs;
         }
-        return {variant, num_clbits};
+        return variant;
     };
     const unsigned threads = ThreadPool::resolveThreads(
         unsigned(std::max(0, opts.threads)));
     if (threads <= 1) {
         for (std::size_t n = 0; n < out.instances.size(); ++n) {
-            const auto [variant, num_clbits] = compileAndRecord(n);
+            const auto variant = buildAndRecord(n);
             const auto &ordinals = ordinals_of[out.instances[n]];
-            simulateOrdinals(*variant, num_clbits, ordinals, 0,
-                             ordinals.size());
+            simulateOrdinals(*variant, ordinals, 0, ordinals.size());
         }
     } else {
-        // One pool drives both stages: each compile task streams its
-        // freshly compiled variant into simulation sub-tasks on the
-        // same pool (submitting from a worker is safe -- the pending
-        // count can only reach zero after every nested submit).
+        // One pool drives both stages: each build task streams its
+        // variant into simulation sub-tasks on the same pool
+        // (submitting from a worker is safe -- the pending count can
+        // only reach zero after every nested submit).
         ThreadPool &workers = pool(threads);
         const int subtasks = std::max(
             1, int(threads) * 2 /
                    std::max<int>(1, int(out.instances.size())));
         for (std::size_t n = 0; n < out.instances.size(); ++n) {
             workers.submit([&, n] {
-                const auto compiled = compileAndRecord(n);
-                const auto variant = compiled.first;
-                const std::size_t num_clbits = compiled.second;
+                const auto variant = buildAndRecord(n);
                 // Outlives this task (ordinals_of is alive until the
                 // wait() below), so sub-tasks take a stable pointer.
                 const std::vector<std::size_t> *ordinals =
                     &ordinals_of[out.instances[n]];
                 for (const auto &[o0, o1] :
                      splitRange(int(ordinals->size()), subtasks)) {
-                    workers.submit([&, variant, num_clbits, ordinals,
-                                    o0 = o0, o1 = o1] {
-                        simulateOrdinals(*variant, num_clbits,
-                                         *ordinals, std::size_t(o0),
+                    workers.submit([&, variant, ordinals, o0 = o0,
+                                    o1 = o1] {
+                        simulateOrdinals(*variant, *ordinals,
+                                         std::size_t(o0),
                                          std::size_t(o1));
                     });
                 }

@@ -24,17 +24,20 @@
  * that revisit the same schedules -- repeated observable batches,
  * Ramsey delays, layer-fidelity lengths -- stop recompiling them.
  *
- * runShard() fuses compilation into simulation: instances stream
- * out of PassManager::planEnsemble straight into trajectory
- * execution on one pool, with no materialized schedule vector (and
- * no barrier) between the stages.  runEnsemble() is its one-shard
- * case.  docs/simulator.md has the full architecture notes.
+ * One driver runs every trajectory: run() feeds it precompiled
+ * schedules, runShard() feeds it instances compiled on demand from
+ * PassManager::planEnsemble, so compilation streams straight into
+ * trajectory execution on one pool with no materialized schedule
+ * vector (and no barrier) between the stages.  runEnsemble() is the
+ * one-shard case of runShard().  docs/simulator.md has the full
+ * architecture notes.
  */
 
 #ifndef CASQ_SIM_ENGINE_HH
 #define CASQ_SIM_ENGINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -76,11 +79,12 @@ prefixStateModeFromName(const std::string &name);
 /** Trajectory-count, seeding and threading options. */
 struct ExecutionOptions
 {
-    int trajectories = 200; //!< total, split across variants
-    std::uint64_t seed = 1234;
+    int trajectories = 200;    //!< total; t executes variant t mod V
+    std::uint64_t seed = 1234; //!< trajectory t draws (seed, t)
 
     /**
-     * Worker threads (ThreadPool::resolveThreads convention:
+     * Workers of the one pool that builds the variants and runs
+     * their trajectories (ThreadPool::resolveThreads convention:
      * 0 = one per hardware thread, 1 = inline on the caller).
      * Results are bit-identical for every value.
      */
@@ -145,7 +149,7 @@ struct ShardSlots
     /** Raw observable values, K per owned trajectory. */
     std::vector<double> slots;
 
-    /** Ensemble instances this shard compiled, ascending. */
+    /** Variants (ensemble instances) this shard built, ascending. */
     std::vector<std::uint32_t> instances;
 
     /** Schedule fingerprint of each compiled instance. */
@@ -162,9 +166,11 @@ struct ShardSlots
     std::uint64_t stabilizerTrajectories = 0;
 };
 
-/** Configuration of a fused compile->simulate ensemble run. */
-struct EnsembleRunOptions
+/** A fused compile->simulate run: simulation + compile options. */
+struct EnsembleRunOptions : ExecutionOptions
 {
+    EnsembleRunOptions() { threads = 1; } // the one differing default
+
     /** Twirled instances to compile (EnsembleOptions semantics). */
     int instances = 8;
 
@@ -173,28 +179,6 @@ struct EnsembleRunOptions
 
     /** Share the deterministic pass prefix across instances. */
     bool prefixCache = true;
-
-    /** Total trajectories, distributed round-robin over variants. */
-    int trajectories = 200;
-
-    /** Simulation master seed; trajectory t uses (seed, t). */
-    std::uint64_t seed = 1234;
-
-    /**
-     * Workers for the single fused pool driving both stages
-     * (0 = one per hardware thread, 1 = inline).  Never changes any
-     * result.
-     */
-    int threads = 1;
-
-    /** Serve repeated schedules from the compiled-variant cache. */
-    bool cacheVariants = true;
-
-    /** Simulation substrate (ExecutionOptions::backend semantics). */
-    SimBackendKind backend = SimBackendKind::Dense;
-
-    /** Trajectory prefix-checkpoint reuse (bit-identical either way). */
-    PrefixStateMode prefixState = PrefixStateMode::Auto;
 };
 
 namespace detail {
@@ -215,6 +199,8 @@ class SimulationEngine
 {
   public:
     SimulationEngine(const Backend &backend, const NoiseModel &noise);
+    /** The engine borrows its backend: a temporary would dangle. */
+    SimulationEngine(Backend &&backend, const NoiseModel &noise) = delete;
     ~SimulationEngine();
 
     SimulationEngine(const SimulationEngine &) = delete;
@@ -227,7 +213,10 @@ class SimulationEngine
 
     /**
      * Run a set of circuit variants (e.g. independently twirled
-     * instances); trajectory t executes variant t mod V.
+     * instances); trajectory t executes variant t mod V.  Every
+     * variant must match the backend width, but only the variants
+     * some trajectory executes (all of them when opts.trajectories
+     * >= V) are built.
      */
     RunResult run(const std::vector<ScheduledCircuit> &variants,
                   const std::vector<PauliString> &observables,
@@ -336,6 +325,24 @@ class SimulationEngine
     /** Fingerprint-keyed, equality-checked variant lookup. */
     std::shared_ptr<const detail::CompiledVariant>
     compiledVariant(const ScheduledCircuit &circuit, bool use_cache);
+
+    /** Builds variant i on demand; called on any pool worker. */
+    using VariantSource = std::function<
+        std::shared_ptr<const detail::CompiledVariant>(std::size_t)>;
+
+    /**
+     * The one trajectory driver behind run() and runShard(): groups
+     * the trajectories shard `shard_index` of `shard_count` owns by
+     * the variant they execute (t mod variant_count), builds each
+     * needed variant once, and runs its trajectories, inline or on
+     * the pool.
+     */
+    ShardSlots runVariants(std::size_t variant_count,
+                           const VariantSource &variantOf,
+                           const std::vector<PauliString> &observables,
+                           const ExecutionOptions &opts,
+                           std::uint32_t shard_index,
+                           std::uint32_t shard_count);
 
     /** Pool sized to `threads`, recreated only on size change. */
     ThreadPool &pool(unsigned threads);

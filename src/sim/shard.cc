@@ -290,6 +290,20 @@ backendRecipeName(BackendRecipe recipe)
     return "unknown";
 }
 
+std::uint32_t
+backendRecipeQubits(BackendRecipe recipe, std::uint32_t backend_qubits)
+{
+    switch (recipe) {
+      case BackendRecipe::Linear:
+      case BackendRecipe::Ring:
+        return backend_qubits;
+      case BackendRecipe::Nazca:
+      case BackendRecipe::Sherbrooke:
+        return 127;
+    }
+    throw SerializeError("corrupt backend recipe");
+}
+
 // -------------------------------------------------------- ShardSpec
 
 std::vector<std::uint8_t>

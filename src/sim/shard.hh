@@ -73,6 +73,14 @@ BackendRecipe backendRecipeFromName(const std::string &name);
 std::string backendRecipeName(BackendRecipe recipe);
 
 /**
+ * Width of the device `recipe` builds: `backend_qubits` for the
+ * parameterized recipes (linear, ring), 127 for the fixed
+ * heavy-hex devices (nazca, sherbrooke).
+ */
+std::uint32_t backendRecipeQubits(BackendRecipe recipe,
+                                  std::uint32_t backend_qubits);
+
+/**
  * Everything a remote process needs to execute one shard of an
  * ensemble run.  encode()/decode() round-trip the spec through the
  * versioned binary format described in docs/sharding.md; decode

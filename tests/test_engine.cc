@@ -4,10 +4,10 @@
  * estimates (slot accumulation + fixed-order pairwise reduction),
  * exactness of the compiled-variant cache, equivalence of the fused
  * compile->simulate ensemble path with the unfused reference, and
- * the classical-register sizing across heterogeneous variants.
+ * pinned bits of a heterogeneous-register variant mix.
  */
 
-#include <cmath>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,12 @@
 
 namespace casq {
 namespace {
+
+// The engine borrows its backend, so a temporary must not bind.
+static_assert(std::is_constructible_v<SimulationEngine, const Backend &,
+                                      const NoiseModel &>);
+static_assert(!std::is_constructible_v<SimulationEngine, Backend &&,
+                                       const NoiseModel &>);
 
 Backend
 noisyBackend()
@@ -180,6 +186,28 @@ TEST(Engine, FusedEnsembleCompilesOnlyExecutedInstances)
     EXPECT_EQ(fused.variantCacheSize(), 4u);
 }
 
+TEST(Engine, RunBuildsOnlyExecutedVariants)
+{
+    // The run() twin of FusedEnsembleCompilesOnlyExecutedInstances:
+    // trajectory t executes variant t mod 6, so variants 4 and 5
+    // run nothing and must not be built into the variant cache.
+    const Backend backend = noisyBackend();
+    PassManager pipeline = buildPipeline(Strategy::CaDd);
+    const auto ensemble =
+        compileEnsemble(workload(), backend, pipeline, 6, 7, 1);
+    for (int threads : {1, 2}) {
+        SimulationEngine engine(backend, NoiseModel::standard());
+        ExecutionOptions opts;
+        opts.trajectories = 4;
+        opts.seed = 99;
+        opts.threads = threads;
+        EXPECT_EQ(engine.run(ensemble, observables(), opts).trajectories,
+                  4);
+        EXPECT_EQ(engine.variantCacheMisses(), 4u) << threads;
+        EXPECT_EQ(engine.variantCacheSize(), 4u) << threads;
+    }
+}
+
 TEST(Engine, VariantCacheReturnsIdenticalResultsToColdCompile)
 {
     const Backend backend = noisyBackend();
@@ -274,8 +302,11 @@ TEST(Engine, VariantCacheEpochEvictionAcrossCapacityBoundary)
 TEST(Engine, ClassicalRegisterSizedToWidestVariant)
 {
     // Variant 0 has no classical bits; variant 1 measures into bit
-    // 2 and conditions on it.  The shared runner must size its
-    // register file to the widest variant, not variants[0].
+    // 2 and conditions on it.  Each variant's runner is sized to
+    // that variant's own register (the register is cleared every
+    // trajectory, so its size cannot move a bit).  The hexfloats
+    // were captured when one runner, sized to the widest variant,
+    // still served every variant of run().
     const Backend backend = noisyBackend();
     Circuit plain(4, 0);
     plain.h(0);
@@ -287,15 +318,22 @@ TEST(Engine, ClassicalRegisterSizedToWidestVariant)
         scheduleASAP(plain, backend.durations()),
         scheduleASAP(dynamic, backend.durations())};
 
-    SimulationEngine engine(backend, NoiseModel::standard());
-    ExecutionOptions opts;
-    opts.trajectories = 16;
-    opts.seed = 1;
-    const RunResult result =
-        engine.run(variants, observables(), opts);
-    EXPECT_EQ(result.trajectories, 16);
-    for (double m : result.means)
-        EXPECT_TRUE(std::isfinite(m));
+    const std::vector<double> means{0x0p+0, 0x1p+0,
+                                    0x1.063f355e331b8p-8};
+    const std::vector<double> stderrs{0x0p+0, 0x0p+0,
+                                      0x1.0ed8f1f5e2c6p-10};
+    for (int threads : {1, 3}) {
+        SimulationEngine engine(backend, NoiseModel::standard());
+        ExecutionOptions opts;
+        opts.trajectories = 16;
+        opts.seed = 1;
+        opts.threads = threads;
+        const RunResult result =
+            engine.run(variants, observables(), opts);
+        EXPECT_EQ(result.trajectories, 16);
+        EXPECT_EQ(result.means, means) << "threads=" << threads;
+        EXPECT_EQ(result.stderrs, stderrs) << "threads=" << threads;
+    }
 }
 
 TEST(EngineDeath, AnyVariantWidthMismatchRejected)
@@ -310,6 +348,30 @@ TEST(EngineDeath, AnyVariantWidthMismatchRejected)
         scheduleASAP(bad, backend.durations())};
     SimulationEngine engine(backend, NoiseModel::standard());
     EXPECT_DEATH(engine.run(variants, observables(), {}), "width");
+
+    // Rejected even when no trajectory executes the bad variant.
+    ExecutionOptions one;
+    one.trajectories = 1;
+    EXPECT_DEATH(engine.run(variants, observables(), one), "width");
+}
+
+TEST(Engine, EnsembleRunOptionsExtendExecutionOptions)
+{
+    // One declaration per simulation field; only the thread default
+    // differs between the two option types.
+    const ExecutionOptions exec;
+    const EnsembleRunOptions ens;
+    const ExecutionOptions &base = ens;
+    EXPECT_EQ(exec.threads, 2);
+    EXPECT_EQ(base.threads, 1);
+    EXPECT_EQ(base.trajectories, exec.trajectories);
+    EXPECT_EQ(base.seed, exec.seed);
+    EXPECT_EQ(base.cacheVariants, exec.cacheVariants);
+    EXPECT_EQ(base.backend, exec.backend);
+    EXPECT_EQ(base.prefixState, exec.prefixState);
+    EXPECT_EQ(ens.instances, 8);
+    EXPECT_EQ(ens.compileSeed, 0u);
+    EXPECT_TRUE(ens.prefixCache);
 }
 
 TEST(Engine, ResolveThreadsConvention)

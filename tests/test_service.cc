@@ -221,6 +221,20 @@ TEST(ServiceAdmission, RejectsBackendWidthMismatch)
     EXPECT_THROW(validateJobSpec(job), AdmissionError);
 }
 
+TEST(ServiceAdmission, RejectsFixedWidthRecipeMismatch)
+{
+    // The 127-qubit devices ignore backendQubits, so a 4-qubit
+    // circuit is refused at admission, not after three shard
+    // attempts.
+    for (BackendRecipe recipe :
+         {BackendRecipe::Nazca, BackendRecipe::Sherbrooke}) {
+        JobSpec job = testJob("x");
+        job.work.backend = recipe;
+        EXPECT_THROW(validateJobSpec(job), AdmissionError)
+            << backendRecipeName(recipe);
+    }
+}
+
 // --------------------------------------------------------- queue
 
 TEST(ServiceQueue, RejectsDuplicateIdsForTheQueueLifetime)

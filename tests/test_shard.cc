@@ -262,6 +262,20 @@ TEST(Shard, BackendRecipeNamesRoundTrip)
     EXPECT_THROW(backendRecipeFromName("osprey"), SerializeError);
 }
 
+TEST(Shard, BackendRecipeQubitsMatchesBuiltDevice)
+{
+    ShardSpec spec;
+    spec.backendQubits = 5;
+    for (BackendRecipe recipe :
+         {BackendRecipe::Linear, BackendRecipe::Ring,
+          BackendRecipe::Nazca, BackendRecipe::Sherbrooke}) {
+        spec.backend = recipe;
+        EXPECT_EQ(backendRecipeQubits(recipe, spec.backendQubits),
+                  spec.makeBackend().numQubits())
+            << backendRecipeName(recipe);
+    }
+}
+
 TEST(Shard, ReduceTrajectorySlotsMatchesEngineReduction)
 {
     // The merge reduction is the engine reduction: a 1-shard job

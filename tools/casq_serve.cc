@@ -76,14 +76,6 @@ usage(std::ostream &os, int code)
     return code;
 }
 
-const char *
-value(int argc, char **argv, int &i, const char *flag)
-{
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc)
-        return argv[++i];
-    return nullptr;
-}
-
 /**
  * Executes shards as `casq_shard run` subprocesses, spooling the
  * spec/result payloads through workDir.  Any subprocess failure --
@@ -326,10 +318,8 @@ onSignal(int)
         g_listener->close(); // atomic store + shutdown(): safe
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+serveMain(int argc, char **argv)
 {
     std::string socket_path;
     std::string work_dir;
@@ -341,32 +331,32 @@ main(int argc, char **argv)
 
     constexpr long long kMaxInt = std::numeric_limits<int>::max();
     for (int i = 1; i < argc; ++i) {
-        if (const char *v = value(argc, argv, i, "--socket")) {
+        if (const char *v = tool::flagValue(argc, argv, i, "--socket")) {
             socket_path = v;
-        } else if (const char *v = value(argc, argv, i, "--slots")) {
+        } else if (const char *v = tool::flagValue(argc, argv, i, "--slots")) {
             options.scheduler.slots = unsigned(
                 bench::checkedInt("--slots", v, 1, 4096));
         } else if (const char *v =
-                       value(argc, argv, i, "--queue-capacity")) {
+                       tool::flagValue(argc, argv, i, "--queue-capacity")) {
             options.queueCapacity = std::size_t(bench::checkedInt(
                 "--queue-capacity", v, 1, kMaxInt));
         } else if (const char *v =
-                       value(argc, argv, i, "--max-attempts")) {
+                       tool::flagValue(argc, argv, i, "--max-attempts")) {
             options.scheduler.maxAttempts =
                 std::uint32_t(bench::checkedInt("--max-attempts",
                                                 v, 1, kMaxInt));
         } else if (const char *v =
-                       value(argc, argv, i, "--threads")) {
+                       tool::flagValue(argc, argv, i, "--threads")) {
             options.threadsPerShard =
                 int(bench::checkedInt("--threads", v, 0, 4096));
         } else if (std::strcmp(argv[i], "--no-steal") == 0) {
             options.scheduler.workStealing = false;
         } else if (const char *v =
-                       value(argc, argv, i, "--straggler-factor")) {
+                       tool::flagValue(argc, argv, i, "--straggler-factor")) {
             options.scheduler.stragglerFactor = double(
                 bench::checkedInt("--straggler-factor", v, 1,
                                   kMaxInt));
-        } else if (const char *v = value(argc, argv, i,
+        } else if (const char *v = tool::flagValue(argc, argv, i,
                                          "--straggler-min-ms")) {
             options.scheduler.stragglerMinMillis = double(
                 bench::checkedInt("--straggler-min-ms", v, 0,
@@ -374,17 +364,17 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--spawn") == 0) {
             spawn = true;
         } else if (const char *v =
-                       value(argc, argv, i, "--shard-tool")) {
+                       tool::flagValue(argc, argv, i, "--shard-tool")) {
             shard_tool = v;
         } else if (const char *v =
-                       value(argc, argv, i, "--work-dir")) {
+                       tool::flagValue(argc, argv, i, "--work-dir")) {
             work_dir = v;
         } else if (const char *v =
-                       value(argc, argv, i, "--kill-nth-spawn")) {
+                       tool::flagValue(argc, argv, i, "--kill-nth-spawn")) {
             kill_nth = long(bench::checkedInt("--kill-nth-spawn",
                                               v, 0, kMaxInt));
         } else if (const char *v =
-                       value(argc, argv, i, "--kill-delay-ms")) {
+                       tool::flagValue(argc, argv, i, "--kill-delay-ms")) {
             kill_delay_ms = long(bench::checkedInt(
                 "--kill-delay-ms", v, 0, kMaxInt));
         } else if (std::strcmp(argv[i], "--help") == 0) {
@@ -399,78 +389,85 @@ main(int argc, char **argv)
         return usage(std::cerr, 1);
     }
 
-    return tool::runTool("casq_serve", [&]() -> int {
-        std::unique_ptr<ShardRunner> runner;
-        std::string spool;
-        if (spawn) {
-            SubprocessShardRunner::Options sub;
-            if (shard_tool.empty()) {
-                // Default: casq_shard next to this binary.
-                const std::string self = argv[0];
-                const std::size_t slash = self.rfind('/');
-                sub.shardTool =
-                    (slash == std::string::npos
-                         ? std::string()
-                         : self.substr(0, slash + 1)) +
-                    "casq_shard";
-            } else {
-                sub.shardTool = shard_tool;
-            }
-            if (work_dir.empty()) {
-                char tmpl[] = "/tmp/casq-serve.XXXXXX";
-                if (!::mkdtemp(tmpl)) {
-                    throw ServiceError(
-                        std::string("mkdtemp() failed: ") +
-                        std::strerror(errno));
-                }
-                spool = tmpl;
-            } else {
-                spool = work_dir;
-            }
-            sub.workDir = spool;
-            sub.threads = std::max(1, options.threadsPerShard);
-            sub.killNthSpawn = kill_nth;
-            sub.killDelayMs = kill_delay_ms;
-            runner = std::make_unique<SubprocessShardRunner>(
-                std::move(sub));
+    std::unique_ptr<ShardRunner> runner;
+    std::string spool;
+    if (spawn) {
+        SubprocessShardRunner::Options sub;
+        if (shard_tool.empty()) {
+            // Default: casq_shard next to this binary.
+            const std::string self = argv[0];
+            const std::size_t slash = self.rfind('/');
+            sub.shardTool =
+                (slash == std::string::npos
+                     ? std::string()
+                     : self.substr(0, slash + 1)) +
+                "casq_shard";
+        } else {
+            sub.shardTool = shard_tool;
         }
-
-        JobService service(options, std::move(runner));
-        LocalListener listener =
-            LocalListener::bind(socket_path);
-        g_listener = &listener;
-        std::signal(SIGINT, onSignal);
-        std::signal(SIGTERM, onSignal);
-        std::signal(SIGPIPE, SIG_IGN);
-
-        std::cerr << "casq_serve: listening on " << socket_path
-                  << " (" << options.scheduler.slots << " slot"
-                  << (options.scheduler.slots == 1 ? "" : "s")
-                  << ", queue capacity " << options.queueCapacity
-                  << (spawn ? ", subprocess shards" : "") << ")\n";
-
-        std::vector<std::thread> connections;
-        for (;;) {
-            LocalSocket sock = listener.accept();
-            if (!sock.valid())
-                break;
-            connections.emplace_back(
-                [&service, &listener,
-                 conn = std::move(sock)]() mutable {
-                    handleConnection(std::move(conn), service,
-                                     listener);
-                });
+        if (work_dir.empty()) {
+            char tmpl[] = "/tmp/casq-serve.XXXXXX";
+            if (!::mkdtemp(tmpl)) {
+                throw ServiceError(
+                    std::string("mkdtemp() failed: ") +
+                    std::strerror(errno));
+            }
+            spool = tmpl;
+        } else {
+            spool = work_dir;
         }
+        sub.workDir = spool;
+        sub.threads = std::max(1, options.threadsPerShard);
+        sub.killNthSpawn = kill_nth;
+        sub.killDelayMs = kill_delay_ms;
+        runner = std::make_unique<SubprocessShardRunner>(
+            std::move(sub));
+    }
 
-        // Stop accepting, then unblock waiters and drain the
-        // worker slots before the connection threads join.
-        service.shutdown();
-        for (std::thread &connection : connections)
-            connection.join();
-        g_listener = nullptr;
-        if (!spool.empty() && work_dir.empty())
-            ::rmdir(spool.c_str()); // best effort; may be nonempty
-        std::cerr << "casq_serve: shut down\n";
-        return 0;
-    });
+    JobService service(options, std::move(runner));
+    LocalListener listener =
+        LocalListener::bind(socket_path);
+    g_listener = &listener;
+    std::signal(SIGINT, onSignal);
+    std::signal(SIGTERM, onSignal);
+    std::signal(SIGPIPE, SIG_IGN);
+
+    std::cerr << "casq_serve: listening on " << socket_path
+              << " (" << options.scheduler.slots << " slot"
+              << (options.scheduler.slots == 1 ? "" : "s")
+              << ", queue capacity " << options.queueCapacity
+              << (spawn ? ", subprocess shards" : "") << ")\n";
+
+    std::vector<std::thread> connections;
+    for (;;) {
+        LocalSocket sock = listener.accept();
+        if (!sock.valid())
+            break;
+        connections.emplace_back(
+            [&service, &listener,
+             conn = std::move(sock)]() mutable {
+                handleConnection(std::move(conn), service,
+                                 listener);
+            });
+    }
+
+    // Stop accepting, then unblock waiters and drain the
+    // worker slots before the connection threads join.
+    service.shutdown();
+    for (std::thread &connection : connections)
+        connection.join();
+    g_listener = nullptr;
+    if (!spool.empty() && work_dir.empty())
+        ::rmdir(spool.c_str()); // best effort; may be nonempty
+    std::cerr << "casq_serve: shut down\n";
+    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return tool::runTool("casq_serve",
+                         [&] { return serveMain(argc, argv); });
 }

@@ -26,25 +26,9 @@
 
 #include "bench_common.hh"
 #include "sim/shard.hh"
+#include "tool_common.hh"
 
 namespace casq::tool {
-
-/**
- * If argv[i] is `flag`, consume it and return its value (advancing
- * i); otherwise return nullptr.  A value flag given last throws
- * std::invalid_argument naming the flag, instead of falling through
- * to the caller's "unknown argument" branch.
- */
-inline const char *
-flagValue(int argc, char **argv, int &i, const char *flag)
-{
-    if (std::strcmp(argv[i], flag) != 0)
-        return nullptr;
-    if (i + 1 >= argc)
-        throw std::invalid_argument(std::string(flag) +
-                                    " needs a value");
-    return argv[++i];
-}
 
 /** The run description one command line fills. */
 struct RunFlags

@@ -6,15 +6,18 @@
  * tools render the same canonical diagnostic -- "file: byte N:
  * message" for corrupt payloads (describePayloadError), "file:
  * message" for other file failures, and "<tool>: message" at the
- * top level.
+ * top level.  flagValue() reads every value flag, so a value flag
+ * given last fails as "<tool>: --flag needs a value" in all four.
  */
 
 #ifndef CASQ_TOOLS_TOOL_COMMON_HH
 #define CASQ_TOOLS_TOOL_COMMON_HH
 
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,6 +76,23 @@ Payload
 decodePayloadFile(const std::string &path)
 {
     return decodePayload<Payload>(path, readPayloadFile(path));
+}
+
+/**
+ * If argv[i] is `flag`, consume it and return its value (advancing
+ * i); otherwise return nullptr.  A value flag given last throws
+ * std::invalid_argument naming the flag, instead of falling through
+ * to the caller's "unknown argument" branch.
+ */
+inline const char *
+flagValue(int argc, char **argv, int &i, const char *flag)
+{
+    if (std::strcmp(argv[i], flag) != 0)
+        return nullptr;
+    if (i + 1 >= argc)
+        throw std::invalid_argument(std::string(flag) +
+                                    " needs a value");
+    return argv[++i];
 }
 
 /**
