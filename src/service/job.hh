@@ -1,8 +1,9 @@
 /**
  * @file
  * Core job-service types: what a job is, the states it moves
- * through, and the admission rules that keep a multi-tenant daemon
- * safe from malformed or oversized submissions.
+ * through, the progress snapshots clients read back, and the
+ * admission rules that keep a multi-tenant daemon safe from
+ * malformed or oversized submissions.
  *
  * A job is one ensemble estimate -- exactly the workload
  * Engine::runEnsemble executes -- described by a ShardSpec
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/shard.hh"
 
@@ -82,7 +84,7 @@ struct JobSpec
  */
 enum class JobState : std::uint8_t
 {
-    Queued = 0,    //!< admitted, waiting in the JobQueue
+    Queued = 0,    //!< admitted, waiting for a worker slot
     Scheduled = 1, //!< shards planned, waiting for worker slots
     Running = 2,   //!< at least one shard executing
     Merging = 3,   //!< all shards done, mergeShards in flight
@@ -106,6 +108,67 @@ enum class ShardState : std::uint8_t
 };
 
 const char *shardStateName(ShardState state);
+
+/** Point-in-time view of one shard of a job. */
+struct ShardProgress
+{
+    ShardState state = ShardState::Pending;
+    std::uint32_t attempts = 0; //!< executions started (incl. steals)
+    std::int32_t worker = -1;   //!< slot of the live/winning run
+    bool stolen = false;        //!< a speculative re-execution ran
+    double wallMillis = 0.0;    //!< winning attempt, once done
+};
+
+/** Point-in-time view of one job (casq_job status / list). */
+struct JobProgress
+{
+    std::string id;
+    JobState state = JobState::Queued;
+    std::string error; //!< terminal diagnostic for Failed
+
+    std::vector<ShardProgress> shards;
+    std::uint32_t shardsDone = 0;
+    std::uint32_t retries = 0; //!< re-queued shard executions
+
+    /** Workload shape (for rendering progress). */
+    std::int32_t trajectories = 0;
+    std::uint32_t observables = 0;
+
+    /** Trajectories owned by finished shards. */
+    std::uint64_t trajectoriesDone = 0;
+
+    /** Trajectories that forked from a prefix-state checkpoint. */
+    std::uint64_t prefixStateHits = 0;
+
+    /** Milliseconds since submission. */
+    double sinceSubmitMillis = 0.0;
+
+    /** Milliseconds of active execution (first shard start on). */
+    double activeMillis = 0.0;
+
+    /** trajectoriesDone over the active window. */
+    double trajectoriesPerSecond = 0.0;
+};
+
+/** Aggregated service counters (casq_job stats). */
+struct ServiceTotals
+{
+    std::uint64_t jobsAdmitted = 0;
+    std::uint64_t jobsDone = 0;
+    std::uint64_t jobsFailed = 0;
+    std::uint64_t jobsCancelled = 0;
+    std::uint64_t shardsExecuted = 0; //!< successful executions
+    std::uint64_t shardFailures = 0;  //!< failed executions
+    std::uint64_t shardRetries = 0;   //!< re-queued after a failure
+    std::uint64_t shardsStolen = 0;   //!< speculative re-executions
+    std::uint64_t trajectoriesDone = 0;
+
+    /** Trajectories that forked from a prefix-state checkpoint. */
+    std::uint64_t prefixStateHits = 0;
+
+    double upMillis = 0.0;
+    double trajectoriesPerSecond = 0.0; //!< over the whole uptime
+};
 
 /**
  * Bounds enforced at admission.  The defaults mirror the

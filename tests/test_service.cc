@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <functional>
+#include <future>
+#include <mutex>
 #include <thread>
 
 #include "bench_common.hh"
@@ -237,40 +239,89 @@ TEST(ServiceAdmission, RejectsFixedWidthRecipeMismatch)
 
 // --------------------------------------------------------- queue
 
+/** Poll until the job's first shard has started on a slot. */
+void
+waitUntilRunning(const JobService &service, const std::string &id)
+{
+    while (service.status(id)->state != JobState::Running)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
 TEST(ServiceQueue, RejectsDuplicateIdsForTheQueueLifetime)
 {
-    JobQueue queue(8);
-    queue.push(testJob("a"));
-    EXPECT_THROW(queue.push(testJob("a")), AdmissionError);
-    // Even after the job left the queue, the id stays burned.
-    ASSERT_TRUE(queue.tryPop().has_value());
-    EXPECT_THROW(queue.push(testJob("a")), AdmissionError);
-    EXPECT_TRUE(queue.knows("a"));
-    EXPECT_FALSE(queue.knows("b"));
+    JobService service(serviceOptions(1));
+    service.submit(testJob("a", 1));
+    EXPECT_THROW(service.submit(testJob("a", 1)), AdmissionError);
+    // Even after the job is done, the id stays burned.
+    EXPECT_EQ(service.waitTerminal("a").state, JobState::Done);
+    EXPECT_THROW(service.submit(testJob("a", 1)), AdmissionError);
+    EXPECT_TRUE(service.status("a").has_value());
+    EXPECT_FALSE(service.status("b").has_value());
+    EXPECT_EQ(service.totals().jobsAdmitted, 1u);
 }
 
 TEST(ServiceQueue, BackpressureWhenFull)
 {
-    JobQueue queue(2);
-    queue.push(testJob("a"));
-    queue.push(testJob("b"));
-    EXPECT_THROW(queue.push(testJob("c")), BackpressureError);
+    // Job "busy" holds the one slot until released, so every later
+    // submission waits in the queue.
+    std::promise<void> release;
+    const std::shared_future<void> released =
+        release.get_future().share();
+    auto runner = std::make_unique<ScriptedRunner>(
+        [released](const ShardRunContext &ctx) {
+            if (ctx.jobId == "busy")
+                released.wait_for(std::chrono::seconds(30));
+        });
+    JobServiceOptions options = serviceOptions(1);
+    options.queueCapacity = 2;
+    JobService service(options, std::move(runner));
+    service.submit(testJob("busy", 1));
+    waitUntilRunning(service, "busy");
+    EXPECT_NO_THROW(service.submit(testJob("a", 1)));
+    EXPECT_NO_THROW(service.submit(testJob("b", 1)));
+    EXPECT_THROW(service.submit(testJob("c", 1)), BackpressureError);
+    release.set_value();
+    for (const char *id : {"busy", "a", "b"})
+        EXPECT_EQ(service.waitTerminal(id).state, JobState::Done);
     // Draining makes room again.
-    ASSERT_TRUE(queue.tryPop().has_value());
-    EXPECT_NO_THROW(queue.push(testJob("c")));
+    EXPECT_NO_THROW(service.submit(testJob("c", 1)));
+    EXPECT_EQ(service.waitTerminal("c").state, JobState::Done);
 }
 
 TEST(ServiceQueue, FifoOrderAndRemove)
 {
-    JobQueue queue(8);
-    queue.push(testJob("a"));
-    queue.push(testJob("b"));
-    queue.push(testJob("c"));
-    EXPECT_TRUE(queue.remove("b"));
-    EXPECT_FALSE(queue.remove("b"));
-    EXPECT_EQ(queue.tryPop()->id, "a");
-    EXPECT_EQ(queue.tryPop()->id, "c");
-    EXPECT_FALSE(queue.tryPop().has_value());
+    std::promise<void> release;
+    const std::shared_future<void> released =
+        release.get_future().share();
+    std::mutex mutex;
+    std::vector<std::string> adopted;
+    auto runner = std::make_unique<ScriptedRunner>(
+        [&, released](const ShardRunContext &ctx) {
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                adopted.push_back(ctx.jobId);
+            }
+            if (ctx.jobId == "busy")
+                released.wait_for(std::chrono::seconds(30));
+        });
+    JobServiceOptions options = serviceOptions(1);
+    options.scheduler.workStealing = false;
+    JobService service(options, std::move(runner));
+    service.submit(testJob("busy", 1));
+    waitUntilRunning(service, "busy");
+    for (const char *id : {"a", "b", "c"})
+        service.submit(testJob(id, 1));
+    EXPECT_EQ(service.cancel("b"),
+              JobService::CancelOutcome::Cancelled);
+    EXPECT_EQ(service.cancel("b"),
+              JobService::CancelOutcome::AlreadyTerminal);
+    EXPECT_EQ(service.status("b")->state, JobState::Cancelled);
+    release.set_value();
+    EXPECT_EQ(service.waitTerminal("a").state, JobState::Done);
+    EXPECT_EQ(service.waitTerminal("c").state, JobState::Done);
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(adopted,
+              (std::vector<std::string>{"busy", "a", "c"}));
 }
 
 // ----------------------------------------------- determinism
@@ -312,6 +363,45 @@ TEST(ServiceScheduler, RetryAfterWorkerDeathIsBitIdentical)
         const ServiceTotals totals = service.totals();
         EXPECT_GE(totals.shardFailures, 1u);
         EXPECT_GE(totals.shardRetries, 1u);
+    }
+}
+
+TEST(ServiceScheduler, RetryAfterDeathPastTheWorkIsBitIdentical)
+{
+    // The first execution of shard 1 does all of its work and dies
+    // before handing the result back (a subprocess killed while
+    // writing it): nothing of that copy may reach the counters or
+    // the merge, and the retry must re-derive the same bytes.
+    class LateDeathRunner : public ShardRunner
+    {
+      public:
+        ShardResult
+        run(const ShardSpec &spec, const ShardRunContext &ctx) override
+        {
+            ShardResult result = executeShard(spec, /*threads=*/1);
+            if (ctx.shardIndex == 1 && ctx.attempt == 1)
+                throw ShardExecutionError("injected late death");
+            return result;
+        }
+    };
+    const RunResult expect = reference();
+    for (unsigned slots : {1u, 2u, 4u}) {
+        // No steals, so the counts below are exact.
+        JobServiceOptions options = serviceOptions(slots);
+        options.scheduler.workStealing = false;
+        JobService service(options,
+                           std::make_unique<LateDeathRunner>());
+        service.submit(testJob("job"));
+        const JobProgress done = service.waitTerminal("job");
+        ASSERT_EQ(done.state, JobState::Done) << done.error;
+        EXPECT_EQ(done.retries, 1u);
+        EXPECT_EQ(done.shards[1].attempts, 2u);
+        EXPECT_EQ(done.trajectoriesDone, done.trajectories);
+        expectBitIdentical(service.result("job"), expect,
+                           "slots=" + std::to_string(slots));
+        const ServiceTotals totals = service.totals();
+        EXPECT_EQ(totals.shardFailures, 1u);
+        EXPECT_EQ(totals.shardsExecuted, 4u);
     }
 }
 
@@ -401,6 +491,62 @@ TEST(ServiceScheduler, CancelQueuedJob)
     EXPECT_EQ(busy.state, JobState::Done) << busy.error;
     EXPECT_EQ(service.cancel("busy"),
               JobService::CancelOutcome::AlreadyTerminal);
+}
+
+/** The cheapest job: 2 qubits, 1 instance, 1 trajectory, 1 shard. */
+JobSpec
+tinyJob(const std::string &id)
+{
+    JobSpec job;
+    job.id = id;
+    ShardSpec &spec = job.work;
+    spec.shardCount = 1;
+    spec.logical = bench::syntheticChainWorkload(
+        2, 2, /*idle_layers=*/true);
+    for (std::uint32_t q = 0; q < 2; ++q)
+        spec.observables.push_back(
+            PauliString::single(2, q, PauliOp::Z));
+    spec.strategy = "ca-dd";
+    spec.backendQubits = 2;
+    spec.instances = 1;
+    spec.trajectories = 1;
+    return job;
+}
+
+TEST(ServiceScheduler, SubmitToIdleSlotNeverStalls)
+{
+    // Each submission lands just as the one slot, done with the
+    // previous job, heads back to sleep; a wakeup lost there leaves
+    // the job Queued forever.
+    JobServiceOptions options;
+    options.scheduler.slots = 1;
+    JobService service(options);
+    std::promise<std::string> outcome; // empty: every job was Done
+    std::future<std::string> finished = outcome.get_future();
+    std::thread client([&service, &outcome] {
+        try {
+            for (int j = 0; j < 2000; ++j) {
+                const std::string id = "tiny-" + std::to_string(j);
+                service.submit(tinyJob(id));
+                const JobProgress done = service.waitTerminal(id);
+                if (done.state != JobState::Done) {
+                    outcome.set_value(id + " is " +
+                                      jobStateName(done.state));
+                    return;
+                }
+            }
+            outcome.set_value("");
+        } catch (const std::exception &err) {
+            outcome.set_value(err.what());
+        }
+    });
+    if (finished.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "a submitted job stalled in the queue";
+        service.shutdown(); // the blocked waitTerminal throws
+    }
+    client.join();
+    EXPECT_EQ(finished.get(), "");
 }
 
 TEST(ServiceScheduler, DuplicateSubmitRejectedAtServiceLevel)

@@ -2,11 +2,11 @@
  * @file
  * casq_serve: the job-service daemon.
  *
- * Listens on a local AF_UNIX socket for casq_job clients, admits
- * jobs through the bounded JobQueue, executes their shards on a
- * pool of worker slots with retry and work-stealing, and serves
- * status/result queries from the ProgressReporter -- see
- * docs/service.md.
+ * Listens on a local AF_UNIX socket for casq_job clients and hands
+ * every request to one JobService, which admits jobs into its
+ * bounded queue, executes their shards on a pool of worker slots
+ * with retry and work-stealing, and answers status/result queries
+ * from the same job records -- see docs/service.md.
  *
  *   $ casq_serve --socket /tmp/casq.sock --slots 2 &
  *   $ casq_job submit --socket /tmp/casq.sock --id demo \
@@ -15,10 +15,11 @@
  *
  * Shards run in-process by default; --spawn executes each shard as
  * a `casq_shard run` subprocess instead, which is what makes a
- * worker death a survivable event (the scheduler re-queues the
+ * worker death a survivable event (the service re-queues the
  * shard; bit-determinism makes the re-execution merge-hazard-free).
  * --kill-nth-spawn N SIGKILLs the Nth spawned subprocess after
- * --kill-delay-ms, so CI can rehearse exactly that failure.
+ * --kill-delay-ms (0: before it can run at all), so CI can rehearse
+ * exactly that failure.
  */
 
 #include <atomic>
@@ -72,7 +73,7 @@ usage(std::ostream &os, int code)
           "  --kill-nth-spawn N   chaos: SIGKILL the Nth spawned\n"
           "                       subprocess (0 = never)\n"
           "  --kill-delay-ms M    delay before the chaos kill\n"
-          "                       (default 200)\n";
+          "                       (default 200; 0 = at spawn)\n";
     return code;
 }
 
@@ -132,15 +133,18 @@ class SubprocessShardRunner : public ShardRunner
         const long spawn = ++_spawned;
         if (_options.killNthSpawn > 0 &&
             spawn == _options.killNthSpawn) {
+            // Kill before waiting: a child that already exited is
+            // an unreaped zombie, so the kill is harmless and
+            // waitpid still reports its own exit.
             const long delay = _options.killDelayMs;
-            std::thread([pid, delay] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(delay));
-                ::kill(pid, SIGKILL);
-            }).detach();
             std::cerr << "chaos: will SIGKILL spawn #" << spawn
                       << " (pid " << pid << ") after " << delay
                       << " ms\n";
+            if (delay > 0) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(delay));
+            }
+            ::kill(pid, SIGKILL);
         }
 
         int status = 0;
