@@ -59,7 +59,7 @@ struct Sample
     std::size_t qubits = 0;
     double wallMillis = 0.0;
     int trajectories = 0;
-    int stabilizerTrajectories = 0;
+    std::uint64_t stabilizerTrajectories = 0;
 
     double
     trajectoriesPerSecond() const
@@ -255,7 +255,7 @@ main(int argc, char **argv)
             options, qubits, SimBackendKind::Auto,
             "stabilizer-" + std::to_string(qubits)));
         if (all.back().stabilizerTrajectories !=
-            all.back().trajectories) {
+            std::uint64_t(all.back().trajectories)) {
             std::cerr << "FAIL: scaling run at " << qubits
                       << " qubits did not route to the tableau\n";
             return 1;

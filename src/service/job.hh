@@ -134,11 +134,9 @@ struct JobProgress
     std::int32_t trajectories = 0;
     std::uint32_t observables = 0;
 
-    /** Trajectories owned by finished shards. */
+    /** Trajectories owned by finished shards, and their counters. */
     std::uint64_t trajectoriesDone = 0;
-
-    /** Trajectories that forked from a prefix-state checkpoint. */
-    std::uint64_t prefixStateHits = 0;
+    RunStats stats;
 
     /** Milliseconds since submission. */
     double sinceSubmitMillis = 0.0;
@@ -162,9 +160,7 @@ struct ServiceTotals
     std::uint64_t shardRetries = 0;   //!< re-queued after a failure
     std::uint64_t shardsStolen = 0;   //!< speculative re-executions
     std::uint64_t trajectoriesDone = 0;
-
-    /** Trajectories that forked from a prefix-state checkpoint. */
-    std::uint64_t prefixStateHits = 0;
+    RunStats stats; //!< over trajectoriesDone
 
     double upMillis = 0.0;
     double trajectoriesPerSecond = 0.0; //!< over the whole uptime

@@ -357,14 +357,13 @@ JobService::onOutcome(JobRecord &job, std::uint32_t shard,
         progress.wallMillis = wallMillis;
         task.result = std::move(*result);
         const std::uint64_t owned = task.result.ownedTrajectories();
-        const std::uint64_t hits = task.result.prefixStateHits;
         job.shardsDone += 1;
         job.trajectoriesDone += owned;
-        job.prefixStateHits += hits;
+        job.stats += task.result.run.stats;
         job.completedWallMillis.push_back(wallMillis);
         _totals.shardsExecuted += 1;
         _totals.trajectoriesDone += owned;
-        _totals.prefixStateHits += hits;
+        _totals.stats += task.result.run.stats;
         if (job.shardsDone == job.shards.size())
             mergeJob(job, lock);
         return;
@@ -458,7 +457,7 @@ JobService::snapshot(const JobRecord &job) const
     p.trajectories = job.spec.work.trajectories;
     p.observables = std::uint32_t(job.spec.work.observables.size());
     p.trajectoriesDone = job.trajectoriesDone;
-    p.prefixStateHits = job.prefixStateHits;
+    p.stats = job.stats;
     const auto now = Clock::now();
     p.sinceSubmitMillis = millisBetween(job.submittedAt, now);
     if (job.firstStartAt) {

@@ -233,7 +233,7 @@ class JobService
         std::uint32_t shardsDone = 0;
         std::uint32_t retries = 0;
         std::uint64_t trajectoriesDone = 0;
-        std::uint64_t prefixStateHits = 0;
+        RunStats stats;
         std::vector<double> completedWallMillis;
         Clock::time_point submittedAt;
         std::optional<Clock::time_point> firstStartAt;

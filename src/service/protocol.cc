@@ -12,11 +12,10 @@ writeHeader(ByteWriter &w, MessageType type)
     w.u8(std::uint8_t(type));
 }
 
-/** Validate the header and require the expected message type. */
-ByteReader
-openFrame(const std::vector<std::uint8_t> &frame, MessageType want)
+/** Validate magic and version; returns the type byte. */
+std::uint8_t
+readHeader(ByteReader &r)
 {
-    ByteReader r(frame);
     if (r.u32() != kProtocolMagic)
         throw SerializeError("not a casq service frame "
                              "(bad magic)",
@@ -29,7 +28,15 @@ openFrame(const std::vector<std::uint8_t> &frame, MessageType want)
                 std::to_string(kProtocolVersion) + ")",
             4);
     }
-    const std::uint8_t type = r.u8();
+    return r.u8();
+}
+
+/** Validate the header and require the expected message type. */
+ByteReader
+openFrame(const std::vector<std::uint8_t> &frame, MessageType want)
+{
+    ByteReader r(frame);
+    const std::uint8_t type = readHeader(r);
     if (type != std::uint8_t(want)) {
         throw SerializeError(
             "unexpected message type " + std::to_string(type) +
@@ -53,6 +60,16 @@ readBlob(ByteReader &r)
     return std::vector<std::uint8_t>(raw.begin(), raw.end());
 }
 
+/** A trajectory count, which is never negative. */
+std::int32_t
+readTrajectories(ByteReader &r)
+{
+    const std::int32_t trajectories = r.i32();
+    if (trajectories < 0)
+        throw SerializeError("negative trajectory count", r.offset());
+    return trajectories;
+}
+
 void
 writeJobProgress(ByteWriter &w, const JobProgress &job)
 {
@@ -72,7 +89,7 @@ writeJobProgress(ByteWriter &w, const JobProgress &job)
     w.i32(job.trajectories);
     w.u32(job.observables);
     w.u64(job.trajectoriesDone);
-    w.u64(job.prefixStateHits);
+    encodeRunStats(w, job.stats);
     w.f64(job.sinceSubmitMillis);
     w.f64(job.activeMillis);
     w.f64(job.trajectoriesPerSecond);
@@ -109,10 +126,10 @@ readJobProgress(ByteReader &r)
     }
     job.shardsDone = r.u32();
     job.retries = r.u32();
-    job.trajectories = r.i32();
+    job.trajectories = readTrajectories(r);
     job.observables = r.u32();
     job.trajectoriesDone = r.u64();
-    job.prefixStateHits = r.u64();
+    job.stats = decodeRunStats(r, job.trajectoriesDone);
     job.sinceSubmitMillis = r.f64();
     job.activeMillis = r.f64();
     job.trajectoriesPerSecond = r.f64();
@@ -131,7 +148,7 @@ writeTotals(ByteWriter &w, const ServiceTotals &totals)
     w.u64(totals.shardRetries);
     w.u64(totals.shardsStolen);
     w.u64(totals.trajectoriesDone);
-    w.u64(totals.prefixStateHits);
+    encodeRunStats(w, totals.stats);
     w.f64(totals.upMillis);
     w.f64(totals.trajectoriesPerSecond);
 }
@@ -149,7 +166,7 @@ readTotals(ByteReader &r)
     totals.shardRetries = r.u64();
     totals.shardsStolen = r.u64();
     totals.trajectoriesDone = r.u64();
-    totals.prefixStateHits = r.u64();
+    totals.stats = decodeRunStats(r, totals.trajectoriesDone);
     totals.upMillis = r.f64();
     totals.trajectoriesPerSecond = r.f64();
     return totals;
@@ -164,6 +181,7 @@ writeRunResult(ByteWriter &w, const RunResult &result)
     for (double err : result.stderrs)
         w.f64(err);
     w.i32(result.trajectories);
+    encodeRunStats(w, result);
 }
 
 RunResult
@@ -177,7 +195,9 @@ readRunResult(ByteReader &r)
         mean = r.f64();
     for (double &err : result.stderrs)
         err = r.f64();
-    result.trajectories = r.i32();
+    result.trajectories = readTrajectories(r);
+    RunStats &stats = result;
+    stats = decodeRunStats(r, std::uint64_t(result.trajectories));
     return result;
 }
 
@@ -187,19 +207,7 @@ MessageType
 peekMessageType(const std::vector<std::uint8_t> &frame)
 {
     ByteReader r(frame);
-    if (r.u32() != kProtocolMagic)
-        throw SerializeError("not a casq service frame "
-                             "(bad magic)",
-                             0);
-    const std::uint8_t version = r.u8();
-    if (version != kProtocolVersion) {
-        throw SerializeError(
-            "unsupported protocol version " +
-                std::to_string(version) + " (expected " +
-                std::to_string(kProtocolVersion) + ")",
-            4);
-    }
-    const std::uint8_t type = r.u8();
+    const std::uint8_t type = readHeader(r);
     switch (MessageType(type)) {
       case MessageType::SubmitRequest:
       case MessageType::StatusRequest:
@@ -223,6 +231,31 @@ peekMessageType(const std::vector<std::uint8_t> &frame)
                              std::to_string(type),
                          5);
 }
+
+template <MessageType Type>
+std::vector<std::uint8_t>
+HeaderOnly<Type>::encode() const
+{
+    ByteWriter w;
+    writeHeader(w, Type);
+    return w.take();
+}
+
+template <MessageType Type>
+HeaderOnly<Type>
+HeaderOnly<Type>::decode(const std::vector<std::uint8_t> &frame)
+{
+    openFrame(frame, Type).requireEnd();
+    return {};
+}
+
+template struct HeaderOnly<MessageType::ListRequest>;
+template struct HeaderOnly<MessageType::StatsRequest>;
+template struct HeaderOnly<MessageType::ShutdownRequest>;
+template struct HeaderOnly<MessageType::PingRequest>;
+template struct HeaderOnly<MessageType::SubmitReply>;
+template struct HeaderOnly<MessageType::ShutdownReply>;
+template struct HeaderOnly<MessageType::PingReply>;
 
 // -------------------------------------------------------- requests
 
@@ -268,36 +301,6 @@ StatusRequest::decode(const std::vector<std::uint8_t> &frame)
 }
 
 std::vector<std::uint8_t>
-ListRequest::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::ListRequest);
-    return w.take();
-}
-
-ListRequest
-ListRequest::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::ListRequest).requireEnd();
-    return ListRequest{};
-}
-
-std::vector<std::uint8_t>
-StatsRequest::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::StatsRequest);
-    return w.take();
-}
-
-StatsRequest
-StatsRequest::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::StatsRequest).requireEnd();
-    return StatsRequest{};
-}
-
-std::vector<std::uint8_t>
 ResultRequest::encode() const
 {
     ByteWriter w;
@@ -337,52 +340,7 @@ CancelRequest::decode(const std::vector<std::uint8_t> &frame)
     return request;
 }
 
-std::vector<std::uint8_t>
-ShutdownRequest::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::ShutdownRequest);
-    return w.take();
-}
-
-ShutdownRequest
-ShutdownRequest::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::ShutdownRequest).requireEnd();
-    return ShutdownRequest{};
-}
-
-std::vector<std::uint8_t>
-PingRequest::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::PingRequest);
-    return w.take();
-}
-
-PingRequest
-PingRequest::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::PingRequest).requireEnd();
-    return PingRequest{};
-}
-
 // --------------------------------------------------------- replies
-
-std::vector<std::uint8_t>
-SubmitReply::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::SubmitReply);
-    return w.take();
-}
-
-SubmitReply
-SubmitReply::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::SubmitReply).requireEnd();
-    return SubmitReply{};
-}
 
 std::vector<std::uint8_t>
 StatusReply::encode() const
@@ -492,36 +450,6 @@ CancelReply::decode(const std::vector<std::uint8_t> &frame)
     reply.outcome = JobService::CancelOutcome(outcome);
     r.requireEnd();
     return reply;
-}
-
-std::vector<std::uint8_t>
-ShutdownReply::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::ShutdownReply);
-    return w.take();
-}
-
-ShutdownReply
-ShutdownReply::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::ShutdownReply).requireEnd();
-    return ShutdownReply{};
-}
-
-std::vector<std::uint8_t>
-PingReply::encode() const
-{
-    ByteWriter w;
-    writeHeader(w, MessageType::PingReply);
-    return w.take();
-}
-
-PingReply
-PingReply::decode(const std::vector<std::uint8_t> &frame)
-{
-    openFrame(frame, MessageType::PingReply).requireEnd();
-    return PingReply{};
 }
 
 std::vector<std::uint8_t>

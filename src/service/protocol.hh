@@ -46,8 +46,12 @@ constexpr std::uint32_t kProtocolMagic = 0x50515343u;
  *   3 -- job specs embed shard payloads in format v4, which carries
  *        the full serialized noise configuration instead of a
  *        3-value recipe byte (docs/noise.md).
+ *   4 -- JobProgress, ServiceTotals and the ResultReply's RunResult
+ *        carry one RunStats block (encodeRunStats, which adds the
+ *        tableau-routed trajectory count); job specs embed shard
+ *        payloads in format v5.
  */
-constexpr std::uint8_t kProtocolVersion = 3;
+constexpr std::uint8_t kProtocolVersion = 4;
 
 enum class MessageType : std::uint8_t
 {
@@ -80,6 +84,17 @@ enum class MessageType : std::uint8_t
  */
 MessageType peekMessageType(const std::vector<std::uint8_t> &frame);
 
+/**
+ * A message that is its header alone: the list, stats, shutdown and
+ * ping requests and the submit, shutdown and ping replies.
+ */
+template <MessageType Type>
+struct HeaderOnly
+{
+    std::vector<std::uint8_t> encode() const;
+    static HeaderOnly decode(const std::vector<std::uint8_t> &frame);
+};
+
 // -------------------------------------------------------- requests
 
 struct SubmitRequest
@@ -98,17 +113,8 @@ struct StatusRequest
     static StatusRequest decode(const std::vector<std::uint8_t> &frame);
 };
 
-struct ListRequest
-{
-    std::vector<std::uint8_t> encode() const;
-    static ListRequest decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct StatsRequest
-{
-    std::vector<std::uint8_t> encode() const;
-    static StatsRequest decode(const std::vector<std::uint8_t> &frame);
-};
+using ListRequest = HeaderOnly<MessageType::ListRequest>;
+using StatsRequest = HeaderOnly<MessageType::StatsRequest>;
 
 struct ResultRequest
 {
@@ -127,26 +133,12 @@ struct CancelRequest
     static CancelRequest decode(const std::vector<std::uint8_t> &frame);
 };
 
-struct ShutdownRequest
-{
-    std::vector<std::uint8_t> encode() const;
-    static ShutdownRequest
-    decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct PingRequest
-{
-    std::vector<std::uint8_t> encode() const;
-    static PingRequest decode(const std::vector<std::uint8_t> &frame);
-};
+using ShutdownRequest = HeaderOnly<MessageType::ShutdownRequest>;
+using PingRequest = HeaderOnly<MessageType::PingRequest>;
 
 // --------------------------------------------------------- replies
 
-struct SubmitReply
-{
-    std::vector<std::uint8_t> encode() const;
-    static SubmitReply decode(const std::vector<std::uint8_t> &frame);
-};
+using SubmitReply = HeaderOnly<MessageType::SubmitReply>;
 
 struct StatusReply
 {
@@ -190,18 +182,8 @@ struct CancelReply
     static CancelReply decode(const std::vector<std::uint8_t> &frame);
 };
 
-struct ShutdownReply
-{
-    std::vector<std::uint8_t> encode() const;
-    static ShutdownReply
-    decode(const std::vector<std::uint8_t> &frame);
-};
-
-struct PingReply
-{
-    std::vector<std::uint8_t> encode() const;
-    static PingReply decode(const std::vector<std::uint8_t> &frame);
-};
+using ShutdownReply = HeaderOnly<MessageType::ShutdownReply>;
+using PingReply = HeaderOnly<MessageType::PingReply>;
 
 /**
  * Any request can be answered with this instead of its success

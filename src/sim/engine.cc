@@ -834,8 +834,7 @@ reduceWhole(const ShardSlots &whole, int trajectories,
 {
     RunResult result = reduceTrajectorySlots(
         whole.slots, std::size_t(trajectories), observables);
-    result.stabilizerTrajectories = int(whole.stabilizerTrajectories);
-    result.prefixStateHits = whole.prefixStateHits;
+    result += whole.stats;
     return result;
 }
 
@@ -1134,8 +1133,8 @@ SimulationEngine::runVariants(
         }
         workers.wait();
     }
-    out.stabilizerTrajectories = stabilizer_runs;
-    out.prefixStateHits = prefix_runs;
+    out.stats.stabilizerTrajectories = stabilizer_runs;
+    out.stats.prefixStateHits = prefix_runs;
     return out;
 }
 

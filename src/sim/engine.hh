@@ -106,18 +106,35 @@ struct ExecutionOptions
     PrefixStateMode prefixState = PrefixStateMode::Auto;
 };
 
-/** Averaged observable estimates with statistical errors. */
-struct RunResult
+/**
+ * Counters that explain a run, each a share of its trajectories, so
+ * the records of disjoint runs (shards, jobs) add up to the record
+ * of their union.  Engine results, shard payloads and the job
+ * service all carry this one record (wire form: encodeRunStats).
+ */
+struct RunStats
+{
+    /** Trajectories the backend routing sent to the tableau. */
+    std::uint64_t stabilizerTrajectories = 0;
+
+    /** Trajectories that forked from a prefix-state checkpoint. */
+    std::uint64_t prefixStateHits = 0;
+
+    RunStats &
+    operator+=(const RunStats &other)
+    {
+        stabilizerTrajectories += other.stabilizerTrajectories;
+        prefixStateHits += other.prefixStateHits;
+        return *this;
+    }
+};
+
+/** Averaged observable estimates, errors and the run's counters. */
+struct RunResult : RunStats
 {
     std::vector<double> means;
     std::vector<double> stderrs;
     int trajectories = 0;
-
-    /** Trajectories the backend routing sent to the tableau. */
-    int stabilizerTrajectories = 0;
-
-    /** Trajectories that forked from a prefix-state checkpoint. */
-    std::uint64_t prefixStateHits = 0;
 
     double mean(std::size_t k = 0) const { return means.at(k); }
 };
@@ -155,15 +172,8 @@ struct ShardSlots
     /** Schedule fingerprint of each compiled instance. */
     std::vector<std::uint64_t> fingerprints;
 
-    /** Owned trajectories that forked from a prefix checkpoint. */
-    std::uint64_t prefixStateHits = 0;
-
-    /**
-     * Owned trajectories the backend routing sent to the tableau.
-     * In-process only: the shard wire format (sim/shard.hh) does
-     * not carry it.
-     */
-    std::uint64_t stabilizerTrajectories = 0;
+    /** Counters over the owned trajectories. */
+    RunStats stats;
 };
 
 /** A fused compile->simulate run: simulation + compile options. */

@@ -141,7 +141,7 @@ struct NoiseModel
  * Append the model as the canonical wire block (docs/noise.md:
  * u32 mechanism flags, f64 coherentScale, u32 extra count, then
  * {u8 kind, f64 param0, f64 param1} per extra).  Embedded in shard
- * specs (format v4) and therefore in service job payloads.
+ * specs (since format v4) and therefore in service job payloads.
  */
 void encodeNoiseModel(ByteWriter &w, const NoiseModel &model);
 

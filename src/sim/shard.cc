@@ -17,9 +17,11 @@ constexpr std::uint8_t kResultMagic[4] = {'C', 'S', 'Q', 'R'};
 // version 3 appended the prefix-state mode to the spec and the
 // prefix-state hit counter to the result; version 4 replaced the
 // 3-value noise recipe byte with the full serialized noise
-// configuration (encodeNoiseModel block -- docs/sharding.md and
-// docs/noise.md record the history).
-constexpr std::uint32_t kFormatVersion = 4;
+// configuration (encodeNoiseModel block -- docs/noise.md); version 5
+// replaced the result's hit counter with the RunStats block, which
+// also carries the tableau-routed trajectory count (docs/sharding.md
+// records the history).
+constexpr std::uint32_t kFormatVersion = 5;
 
 void
 writeMagic(ByteWriter &w, const std::uint8_t (&magic)[4])
@@ -500,15 +502,15 @@ ShardResult::encode() const
     w.u64(jobFingerprint);
     w.u64(seed);
     w.u64(compileSeed);
-    w.u32(std::uint32_t(instances.size()));
-    for (std::uint32_t i : instances)
+    w.u32(std::uint32_t(run.instances.size()));
+    for (std::uint32_t i : run.instances)
         w.u32(i);
-    for (std::uint64_t f : fingerprints)
+    for (std::uint64_t f : run.fingerprints)
         w.u64(f);
-    w.u32(std::uint32_t(slots.size()));
-    for (double v : slots)
+    w.u32(std::uint32_t(run.slots.size()));
+    for (double v : run.slots)
         w.f64(v);
-    w.u64(prefixStateHits);
+    encodeRunStats(w, run.stats);
     return w.take();
 }
 
@@ -531,19 +533,19 @@ decodeResultBody(ByteReader &r)
     result.jobFingerprint = r.u64();
     result.seed = r.u64();
     result.compileSeed = r.u64();
+    ShardSlots &run = result.run;
     const std::size_t num_instances = r.count(12);
     for (std::size_t i = 0; i < num_instances; ++i) {
         const std::uint32_t instance = r.u32();
-        if (!result.instances.empty() &&
-            instance <= result.instances.back()) {
+        if (!run.instances.empty() && instance <= run.instances.back()) {
             throw SerializeError(
                 "shard result instance list is not strictly "
                 "ascending");
         }
-        result.instances.push_back(instance);
+        run.instances.push_back(instance);
     }
     for (std::size_t i = 0; i < num_instances; ++i)
-        result.fingerprints.push_back(r.u64());
+        run.fingerprints.push_back(r.u64());
     const std::size_t num_slots = r.count(8);
     const std::size_t expected =
         result.ownedTrajectories() * result.observableCount;
@@ -552,18 +554,10 @@ decodeResultBody(ByteReader &r)
             "shard result carries " + std::to_string(num_slots) +
             " slot value(s), expected " + std::to_string(expected));
     }
-    result.slots.reserve(num_slots);
+    run.slots.reserve(num_slots);
     for (std::size_t i = 0; i < num_slots; ++i)
-        result.slots.push_back(r.f64());
-    result.prefixStateHits = r.u64();
-    if (result.prefixStateHits > result.ownedTrajectories()) {
-        throw SerializeError(
-            "shard result claims " +
-            std::to_string(result.prefixStateHits) +
-            " prefix-state hit(s) for " +
-            std::to_string(result.ownedTrajectories()) +
-            " owned trajectory(ies)");
-    }
+        run.slots.push_back(r.f64());
+    run.stats = decodeRunStats(r, result.ownedTrajectories());
     r.requireEnd();
     return result;
 }
@@ -586,6 +580,33 @@ ShardResult
 ShardResult::decode(const std::vector<std::uint8_t> &bytes)
 {
     return decode(bytes.data(), bytes.size());
+}
+
+// --------------------------------------------------------- RunStats
+
+void
+encodeRunStats(ByteWriter &w, const RunStats &stats)
+{
+    w.u64(stats.stabilizerTrajectories);
+    w.u64(stats.prefixStateHits);
+}
+
+RunStats
+decodeRunStats(ByteReader &r, std::uint64_t trajectories)
+{
+    RunStats stats;
+    for (std::uint64_t *counter :
+         {&stats.stabilizerTrajectories, &stats.prefixStateHits}) {
+        *counter = r.u64();
+        if (*counter > trajectories) {
+            throw SerializeError(
+                "run counter " + std::to_string(*counter) +
+                    " exceeds the " + std::to_string(trajectories) +
+                    " trajectories it counts",
+                r.offset());
+        }
+    }
+    return stats;
 }
 
 // -------------------------------------------------------- execution
@@ -613,9 +634,6 @@ executeShard(const ShardSpec &spec, int threads)
 
     PassManager pipeline = spec.makePipeline();
     SimulationEngine engine(backend, spec.makeNoise());
-    ShardSlots slots = engine.runShard(
-        spec.logical, pipeline, spec.observables,
-        spec.runOptions(threads), spec.shardIndex, spec.shardCount);
 
     ShardResult result;
     result.shardIndex = spec.shardIndex;
@@ -626,10 +644,9 @@ executeShard(const ShardSpec &spec, int threads)
     result.jobFingerprint = spec.jobFingerprint();
     result.seed = spec.seed;
     result.compileSeed = spec.compileSeed;
-    result.instances = std::move(slots.instances);
-    result.fingerprints = std::move(slots.fingerprints);
-    result.slots = std::move(slots.slots);
-    result.prefixStateHits = slots.prefixStateHits;
+    result.run = engine.runShard(
+        spec.logical, pipeline, spec.observables,
+        spec.runOptions(threads), spec.shardIndex, spec.shardCount);
     return result;
 }
 
@@ -672,22 +689,21 @@ mergeShards(const std::vector<ShardResult> &shards)
         }
         by_index[shard.shardIndex] = &shard;
 
-        if (shard.instances.size() != shard.fingerprints.size()) {
+        const ShardSlots &run = shard.run;
+        if (run.instances.size() != run.fingerprints.size()) {
             throw ShardError(
                 "shard " + std::to_string(shard.shardIndex) +
-                " carries " +
-                std::to_string(shard.fingerprints.size()) +
+                " carries " + std::to_string(run.fingerprints.size()) +
                 " fingerprint(s) for " +
-                std::to_string(shard.instances.size()) +
-                " instance(s)");
+                std::to_string(run.instances.size()) + " instance(s)");
         }
-        for (std::size_t i = 0; i < shard.instances.size(); ++i) {
+        for (std::size_t i = 0; i < run.instances.size(); ++i) {
             const auto [it, inserted] = schedule_prints.emplace(
-                shard.instances[i], shard.fingerprints[i]);
-            if (!inserted && it->second != shard.fingerprints[i]) {
+                run.instances[i], run.fingerprints[i]);
+            if (!inserted && it->second != run.fingerprints[i]) {
                 throw ShardError(
                     "shards disagree on the schedule of instance " +
-                    std::to_string(shard.instances[i]) +
+                    std::to_string(run.instances[i]) +
                     " (fingerprint mismatch)");
             }
         }
@@ -700,25 +716,25 @@ mergeShards(const std::vector<ShardResult> &shards)
     const std::size_t K = head.observableCount;
     std::vector<double> slots(total * K, 0.0);
     for (std::uint32_t k = 0; k < S; ++k) {
-        const ShardResult &shard = *by_index[k];
-        const std::size_t owned = shard.ownedTrajectories();
-        if (shard.slots.size() != owned * K) {
+        const std::vector<double> &owned_slots = by_index[k]->run.slots;
+        const std::size_t owned = by_index[k]->ownedTrajectories();
+        if (owned_slots.size() != owned * K) {
             throw ShardError(
                 "shard " + std::to_string(k) + " carries " +
-                std::to_string(shard.slots.size()) +
+                std::to_string(owned_slots.size()) +
                 " slot value(s), expected " +
                 std::to_string(owned * K));
         }
         for (std::size_t j = 0; j < owned; ++j) {
             const std::size_t t = k + j * S;
-            std::copy(shard.slots.begin() + j * K,
-                      shard.slots.begin() + (j + 1) * K,
+            std::copy(owned_slots.begin() + j * K,
+                      owned_slots.begin() + (j + 1) * K,
                       slots.begin() + t * K);
         }
     }
     RunResult merged = reduceTrajectorySlots(slots, total, K);
     for (const ShardResult &shard : shards)
-        merged.prefixStateHits += shard.prefixStateHits;
+        merged += shard.run.stats;
     return merged;
 }
 

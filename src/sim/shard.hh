@@ -110,7 +110,7 @@ struct ShardSpec
 
     /**
      * Full noise configuration the executing host rebuilds, carried
-     * verbatim in the payload (format v4; encodeNoiseModel block).
+     * verbatim in the payload (since format v4; encodeNoiseModel block).
      * Earlier formats shipped only a 3-value recipe byte, silently
      * flattening any other configuration to its nearest preset --
      * now every toggle, scale and extra source survives the wire
@@ -177,11 +177,11 @@ struct ShardSpec
 };
 
 /**
- * Raw output of one executed shard: the slot matrix of the owned
- * trajectories plus enough provenance (job fingerprint, RNG seeds,
- * per-instance schedule fingerprints) for mergeShards() to verify
- * that every shard of the set executed the same job and compiled
- * identical schedules.
+ * Raw output of one executed shard: the engine's record of the
+ * owned trajectories (slots, compiled instances with their schedule
+ * fingerprints, counters) plus enough provenance (job fingerprint,
+ * RNG seeds) for mergeShards() to verify that every shard of the set
+ * executed the same job and compiled identical schedules.
  */
 struct ShardResult
 {
@@ -199,15 +199,8 @@ struct ShardResult
     std::uint64_t seed = 0;
     std::uint64_t compileSeed = 0;
 
-    /** Instances this shard compiled + their schedule prints. */
-    std::vector<std::uint32_t> instances;
-    std::vector<std::uint64_t> fingerprints;
-
-    /** Ordinal-major raw slots (see ShardSlots in sim/engine.hh). */
-    std::vector<double> slots;
-
-    /** Owned trajectories that forked from a prefix checkpoint. */
-    std::uint64_t prefixStateHits = 0;
+    /** What SimulationEngine::runShard returned for this shard. */
+    ShardSlots run;
 
     /** Number of global trajectories this shard owns. */
     std::size_t ownedTrajectories() const;
@@ -217,6 +210,15 @@ struct ShardResult
                               std::size_t size);
     static ShardResult decode(const std::vector<std::uint8_t> &bytes);
 };
+
+/**
+ * The wire form of a RunStats in the shard result and the service
+ * protocol: each counter as a u64, in declaration order.  The
+ * decoder throws SerializeError, with the offset just past the
+ * counter, for a counter above the `trajectories` the record covers.
+ */
+void encodeRunStats(ByteWriter &w, const RunStats &stats);
+RunStats decodeRunStats(ByteReader &r, std::uint64_t trajectories);
 
 /**
  * Execute the shard a spec describes: rebuild the backend and

@@ -358,7 +358,7 @@ TEST(NoiseSources, EligibilityDelegatesToComposedSources)
     const RunResult tableau =
         clifford.runEnsemble(circuit, pipeline, obs, opts);
     EXPECT_EQ(tableau.stabilizerTrajectories,
-              tableau.trajectories);
+              std::uint64_t(tableau.trajectories));
 
     NoiseModel drifting = NoiseModel::pauliOnly();
     drifting.extras.push_back(
@@ -366,7 +366,7 @@ TEST(NoiseSources, EligibilityDelegatesToComposedSources)
     SimulationEngine dense(backend, drifting);
     const RunResult blocked =
         dense.runEnsemble(circuit, pipeline, obs, opts);
-    EXPECT_EQ(blocked.stabilizerTrajectories, 0);
+    EXPECT_EQ(blocked.stabilizerTrajectories, 0u);
 
     EXPECT_EQ(NoiseModel::pauliOnly().cliffordBlocker(backend), "");
     EXPECT_NE(drifting.cliffordBlocker(backend).find("drift"),
@@ -404,7 +404,7 @@ TEST(NoiseSources, ComposedModelBitIdenticalAcrossShardsAndThreads)
             spec.trajectories = 42;
             spec.seed = 616;
             spec.noise = noise;
-            // Round-trip the v4 wire format on every shard.
+            // Round-trip the wire format on every shard.
             results.push_back(executeShard(
                 ShardSpec::decode(spec.encode()), threads));
         }

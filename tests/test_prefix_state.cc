@@ -326,7 +326,7 @@ mergeJob(std::uint32_t shards, PrefixStateMode prefix,
 {
     std::vector<ShardResult> results;
     for (std::uint32_t k = 0; k < shards; ++k) {
-        // Round-trip the wire format on every shard: the v4 payload
+        // Round-trip the wire format on every shard: the payload
         // must carry the prefix mode out and the hit count back.
         const ShardSpec spec = ShardSpec::decode(
             shardSpec(k, shards, prefix, noise).encode());
@@ -370,10 +370,10 @@ TEST(PrefixState, ShardResultsCarryAndMergeHitCounts)
                       NoiseModel::ideal());
         const ShardResult result = ShardResult::decode(
             executeShard(spec, 2).encode());
-        EXPECT_EQ(result.prefixStateHits,
+        EXPECT_EQ(result.run.stats.prefixStateHits,
                   result.ownedTrajectories())
             << "shard " << k;
-        total += result.prefixStateHits;
+        total += result.run.stats.prefixStateHits;
         results.push_back(result);
     }
     const RunResult merged = mergeShards(results);
@@ -384,7 +384,7 @@ TEST(PrefixState, ShardResultsCarryAndMergeHitCounts)
     // Off on every shard reports zero hits.
     const ShardSpec off = shardSpec(0, 1, PrefixStateMode::Off,
                                     NoiseModel::ideal());
-    EXPECT_EQ(executeShard(off, 1).prefixStateHits, 0u);
+    EXPECT_EQ(executeShard(off, 1).run.stats.prefixStateHits, 0u);
 }
 
 TEST(PrefixState, CorruptPrefixModeByteIsRejected)

@@ -430,7 +430,7 @@ TEST(Serialize, SpecDecoderRejectsResultPayloadAndViceVersa)
     ShardResult result;
     result.trajectories = 4;
     result.observableCount = 1;
-    result.slots.assign(result.ownedTrajectories(), 0.5);
+    result.run.slots.assign(result.ownedTrajectories(), 0.5);
     EXPECT_THROW(ShardSpec::decode(result.encode()),
                  SerializeError);
 }
@@ -445,16 +445,19 @@ TEST(Serialize, ShardResultReEncodeIsByteIdentical)
     result.jobFingerprint = 0xFEEDFACEull;
     result.seed = 42;
     result.compileSeed = 43;
-    result.instances = {1, 4};
-    result.fingerprints = {0xA, 0xB};
-    result.slots.assign(result.ownedTrajectories() * 2, 0.25);
+    result.run.instances = {1, 4};
+    result.run.fingerprints = {0xA, 0xB};
+    result.run.slots.assign(result.ownedTrajectories() * 2, 0.25);
+    result.run.stats = RunStats{3, 2};
 
     const auto bytes = result.encode();
     const ShardResult back = ShardResult::decode(bytes);
     EXPECT_EQ(back.encode(), bytes);
-    EXPECT_EQ(back.instances, result.instances);
-    EXPECT_EQ(back.fingerprints, result.fingerprints);
-    EXPECT_EQ(back.slots, result.slots);
+    EXPECT_EQ(back.run.instances, result.run.instances);
+    EXPECT_EQ(back.run.fingerprints, result.run.fingerprints);
+    EXPECT_EQ(back.run.slots, result.run.slots);
+    EXPECT_EQ(back.run.stats.stabilizerTrajectories, 3u);
+    EXPECT_EQ(back.run.stats.prefixStateHits, 2u);
 
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
         EXPECT_THROW(ShardResult::decode(bytes.data(), cut),
@@ -470,7 +473,13 @@ TEST(Serialize, ShardResultRejectsInconsistentSlotCount)
     result.shardCount = 2;
     result.trajectories = 10; // owns ceil(10/2) = 5 trajectories
     result.observableCount = 2;
-    result.slots.assign(9, 0.0); // expected 10
+    result.run.slots.assign(9, 0.0); // expected 10
+    EXPECT_THROW(ShardResult::decode(result.encode()),
+                 SerializeError);
+
+    // Counters are shares of the 5 owned trajectories.
+    result.run.slots.assign(10, 0.0);
+    result.run.stats.prefixStateHits = 6;
     EXPECT_THROW(ShardResult::decode(result.encode()),
                  SerializeError);
 }
@@ -480,9 +489,9 @@ TEST(Serialize, ShardResultRejectsUnsortedInstances)
     ShardResult result;
     result.trajectories = 4;
     result.observableCount = 1;
-    result.instances = {3, 1};
-    result.fingerprints = {0xA, 0xB};
-    result.slots.assign(result.ownedTrajectories(), 0.0);
+    result.run.instances = {3, 1};
+    result.run.fingerprints = {0xA, 0xB};
+    result.run.slots.assign(result.ownedTrajectories(), 0.0);
     EXPECT_THROW(ShardResult::decode(result.encode()),
                  SerializeError);
 }

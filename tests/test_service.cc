@@ -62,14 +62,13 @@ testJob(const std::string &id, std::uint32_t shard_count = 4)
     return job;
 }
 
-/** Single-process reference bits for the test job. */
+/** Single-process reference bits for a job (default: the test job). */
 RunResult
-reference()
+reference(const ShardSpec &spec = testWork(1))
 {
-    ShardSpec spec = testWork(1);
     const Backend backend = spec.makeBackend();
     PassManager pipeline = spec.makePipeline();
-    SimulationEngine engine(backend, NoiseModel::standard());
+    SimulationEngine engine(backend, spec.makeNoise());
     return engine.runEnsemble(spec.logical, pipeline,
                               spec.observables,
                               spec.runOptions(/*threads=*/1));
@@ -337,6 +336,30 @@ TEST(ServiceScheduler, MergedResultMatchesSingleProcess)
         expectBitIdentical(service.result("job"), expect,
                            "slots=" + std::to_string(slots));
     }
+
+    // The counters travel with the bits: a job the routing sends to
+    // the tableau reports runEnsemble's RunStats, through the
+    // service and through a ResultReply.
+    JobSpec clifford = testJob("clifford", 3);
+    clifford.work.noise = NoiseModel::pauliOnly();
+    clifford.work.simBackend = SimBackendKind::Auto;
+    clifford.work.instances = 3;
+    clifford.work.trajectories = 30;
+    const RunResult direct = reference(clifford.work);
+    EXPECT_EQ(direct.stabilizerTrajectories, 30u);
+    JobService service(serviceOptions(2));
+    service.submit(clifford);
+    ResultReply reply;
+    reply.job = service.waitTerminal("clifford");
+    ASSERT_EQ(reply.job.state, JobState::Done) << reply.job.error;
+    reply.result = service.result("clifford");
+    expectBitIdentical(reply.result, direct, "clifford");
+    const RunResult wired = ResultReply::decode(reply.encode()).result;
+    for (const RunStats &served : {reply.result, wired}) {
+        EXPECT_EQ(served.stabilizerTrajectories,
+                  direct.stabilizerTrajectories);
+        EXPECT_EQ(served.prefixStateHits, direct.prefixStateHits);
+    }
 }
 
 TEST(ServiceScheduler, RetryAfterWorkerDeathIsBitIdentical)
@@ -584,8 +607,11 @@ TEST(ServiceProtocol, RepliesRoundTrip)
     status.job.shards[1].wallMillis = 12.5;
     status.job.trajectories = 61;
     status.job.trajectoriesDone = 20;
+    status.job.stats = RunStats{20, 7};
     const StatusReply status2 =
         StatusReply::decode(status.encode());
+    EXPECT_EQ(status2.job.stats.stabilizerTrajectories, 20u);
+    EXPECT_EQ(status2.job.stats.prefixStateHits, 7u);
     EXPECT_EQ(status2.job.id, "j");
     EXPECT_EQ(status2.job.state, JobState::Running);
     ASSERT_EQ(status2.job.shards.size(), 3u);
@@ -597,7 +623,11 @@ TEST(ServiceProtocol, RepliesRoundTrip)
     stats.totals.jobsAdmitted = 5;
     stats.totals.shardRetries = 2;
     stats.totals.trajectoriesPerSecond = 123.5;
+    stats.totals.trajectoriesDone = 90;
+    stats.totals.stats = RunStats{90, 4};
     const StatsReply stats2 = StatsReply::decode(stats.encode());
+    EXPECT_EQ(stats2.totals.stats.stabilizerTrajectories, 90u);
+    EXPECT_EQ(stats2.totals.stats.prefixStateHits, 4u);
     EXPECT_EQ(stats2.totals.jobsAdmitted, 5u);
     EXPECT_EQ(stats2.totals.shardRetries, 2u);
     EXPECT_EQ(stats2.totals.trajectoriesPerSecond, 123.5);
@@ -608,11 +638,15 @@ TEST(ServiceProtocol, RepliesRoundTrip)
     result.result.means = {0.5, -0.25};
     result.result.stderrs = {0.01, 0.02};
     result.result.trajectories = 61;
+    result.result.stabilizerTrajectories = 61;
+    result.result.prefixStateHits = 13;
     const ResultReply result2 =
         ResultReply::decode(result.encode());
     EXPECT_EQ(result2.result.means, result.result.means);
     EXPECT_EQ(result2.result.stderrs, result.result.stderrs);
     EXPECT_EQ(result2.result.trajectories, 61);
+    EXPECT_EQ(result2.result.stabilizerTrajectories, 61u);
+    EXPECT_EQ(result2.result.prefixStateHits, 13u);
 }
 
 TEST(ServiceProtocol, ErrorReplyRethrowsTyped)
@@ -649,6 +683,36 @@ TEST(ServiceProtocol, RejectsForeignAndCorruptFrames)
     // Wrong message type for the decoder.
     EXPECT_THROW(StatusRequest::decode(PingRequest{}.encode()),
                  SerializeError);
+
+    // Impossible counts: a negative trajectory count, or a counter
+    // above the trajectories it is a share of.  The error carries
+    // the offset.
+    const auto rejectedWithOffset = [](auto decode,
+                                       const auto &message) {
+        try {
+            decode(message.encode());
+        } catch (const SerializeError &err) {
+            return err.hasOffset();
+        }
+        return false;
+    };
+    StatusReply status;
+    status.job.trajectories = -1;
+    EXPECT_TRUE(rejectedWithOffset(StatusReply::decode, status));
+    status.job.trajectories = 8;
+    status.job.trajectoriesDone = 4;
+    status.job.stats.prefixStateHits = 5;
+    EXPECT_TRUE(rejectedWithOffset(StatusReply::decode, status));
+    StatsReply stats;
+    stats.totals.trajectoriesDone = 4;
+    stats.totals.stats.prefixStateHits = 5;
+    EXPECT_TRUE(rejectedWithOffset(StatsReply::decode, stats));
+    ResultReply result;
+    result.result.trajectories = -1;
+    EXPECT_TRUE(rejectedWithOffset(ResultReply::decode, result));
+    result.result.trajectories = 4;
+    result.result.stabilizerTrajectories = 5;
+    EXPECT_TRUE(rejectedWithOffset(ResultReply::decode, result));
 }
 
 /** Decode a frame with the decoder its header names. */

@@ -115,7 +115,7 @@ TEST(Shard, UnevenSplitOwnershipArithmetic)
     for (std::uint32_t k = 0; k < 8; ++k) {
         const std::size_t owned = results[k].ownedTrajectories();
         EXPECT_EQ(owned, std::size_t(k < 5 ? 8 : 7)) << "k=" << k;
-        EXPECT_EQ(results[k].slots.size(),
+        EXPECT_EQ(results[k].run.slots.size(),
                   owned * results[k].observableCount);
         total += owned;
     }
@@ -129,11 +129,11 @@ TEST(Shard, ShardsCompileOnlyTheirInstanceResidue)
     ShardSpec spec = testSpec(0, 2);
     spec.instances = 8;
     const ShardResult even = executeShard(spec, 1);
-    EXPECT_EQ(even.instances,
+    EXPECT_EQ(even.run.instances,
               (std::vector<std::uint32_t>{0, 2, 4, 6}));
     spec.shardIndex = 1;
     const ShardResult odd = executeShard(spec, 1);
-    EXPECT_EQ(odd.instances,
+    EXPECT_EQ(odd.run.instances,
               (std::vector<std::uint32_t>{1, 3, 5, 7}));
 }
 
@@ -153,7 +153,7 @@ TEST(Shard, DeterministicPipelineCollapsesToOneInstance)
         std::vector<ShardResult> results;
         for (std::uint32_t k = 0; k < S; ++k) {
             results.push_back(executeShard(spec_of(k, S), 2));
-            EXPECT_EQ(results.back().instances,
+            EXPECT_EQ(results.back().run.instances,
                       std::vector<std::uint32_t>{0});
         }
         expectBitIdentical(mergeShards(results), reference,
@@ -232,8 +232,8 @@ TEST(Shard, MergeRejectsScheduleFingerprintDisagreement)
     // wherever they compiled the same instance.  With S=3 and
     // M=7 instances, gcd(3,7)=1 means every shard compiles every
     // instance, so tampering with one fingerprint must collide.
-    ASSERT_FALSE(results[1].fingerprints.empty());
-    results[1].fingerprints[0] ^= 1;
+    ASSERT_FALSE(results[1].run.fingerprints.empty());
+    results[1].run.fingerprints[0] ^= 1;
     try {
         mergeShards(results);
         FAIL() << "merge accepted disagreeing schedules";

@@ -373,7 +373,8 @@ TEST(BackendRouting, AutoRoutesTwirledPauliNoiseToStabilizer)
     const RunResult result = engine.runEnsemble(
         chainWorkload(4, 3), pipeline, zObservables(4),
         ensembleOptions(SimBackendKind::Auto));
-    EXPECT_EQ(result.stabilizerTrajectories, result.trajectories);
+    EXPECT_EQ(result.stabilizerTrajectories,
+              std::uint64_t(result.trajectories));
     EXPECT_GT(result.trajectories, 0);
 }
 
@@ -393,8 +394,8 @@ TEST(BackendRouting, StabilizerAgreesWithDenseWithin1e12)
         ensembleOptions(SimBackendKind::Stabilizer));
     ASSERT_EQ(dense.means.size(), tableau.means.size());
     EXPECT_EQ(tableau.stabilizerTrajectories,
-              tableau.trajectories);
-    EXPECT_EQ(dense.stabilizerTrajectories, 0);
+              std::uint64_t(tableau.trajectories));
+    EXPECT_EQ(dense.stabilizerTrajectories, 0u);
     for (std::size_t k = 0; k < dense.means.size(); ++k)
         EXPECT_NEAR(dense.means[k], tableau.means[k], 1e-12)
             << "observable " << k;
@@ -412,7 +413,7 @@ TEST(BackendRouting, StabilizerEstimatesThreadCountInvariant)
         circuit, pipeline, obs,
         ensembleOptions(SimBackendKind::Auto, /*threads=*/1));
     EXPECT_EQ(reference.stabilizerTrajectories,
-              reference.trajectories);
+              std::uint64_t(reference.trajectories));
     for (int threads : {2, 8}) {
         expectBitIdentical(
             engine.runEnsemble(
@@ -439,7 +440,7 @@ TEST(BackendRouting, StandardNoiseFallsBackDenseBitIdentically)
     const RunResult routed = engine.runEnsemble(
         circuit, pipeline, obs,
         ensembleOptions(SimBackendKind::Auto));
-    EXPECT_EQ(routed.stabilizerTrajectories, 0);
+    EXPECT_EQ(routed.stabilizerTrajectories, 0u);
     expectBitIdentical(routed, dense, "auto-vs-dense");
 }
 
@@ -460,7 +461,7 @@ TEST(BackendRouting, NonCliffordGateForcesDenseFallback)
     const RunResult routed = engine.runEnsemble(
         circuit, pipeline, obs,
         ensembleOptions(SimBackendKind::Auto));
-    EXPECT_EQ(routed.stabilizerTrajectories, 0);
+    EXPECT_EQ(routed.stabilizerTrajectories, 0u);
     const RunResult dense = engine.runEnsemble(
         circuit, pipeline, obs,
         ensembleOptions(SimBackendKind::Dense));
@@ -492,9 +493,10 @@ TEST(BackendRoutingDeath, ForcedStabilizerOnNonCliffordIsFatal)
 
 TEST(BackendRouting, ShardedStabilizerMergeMatchesSingleProcess)
 {
-    // runShard -> hand-assembled ShardResults -> mergeShards must
-    // be bit-identical to the one-process tableau run and within
-    // 1e-12 of dense, for shard counts {1, 3}.
+    // runShard -> ShardResult through the wire format -> mergeShards
+    // must be bit-identical to the one-process tableau run and
+    // within 1e-12 of dense, and report the same RunStats, for shard
+    // counts {1, 3}.
     const Backend backend = makeFakeLinear(4, 1);
     const LayeredCircuit circuit = chainWorkload(4, 3);
     const auto obs = zObservables(4);
@@ -507,11 +509,11 @@ TEST(BackendRouting, ShardedStabilizerMergeMatchesSingleProcess)
     const RunResult dense = engine.runEnsemble(
         circuit, pipeline, obs,
         ensembleOptions(SimBackendKind::Dense));
+    EXPECT_EQ(reference.stabilizerTrajectories,
+              std::uint64_t(reference.trajectories));
 
     for (std::uint32_t shards : {1u, 3u}) {
         std::vector<ShardResult> results;
-        std::uint64_t stabilizer_runs = 0;
-        std::uint64_t prefix_runs = 0;
         for (std::uint32_t k = 0; k < shards; ++k) {
             const auto opts =
                 ensembleOptions(SimBackendKind::Auto);
@@ -519,11 +521,6 @@ TEST(BackendRouting, ShardedStabilizerMergeMatchesSingleProcess)
                                     NoiseModel::pauliOnly());
             PassManager worker_pipeline =
                 buildPipeline(Strategy::CaDd);
-            ShardSlots slots =
-                worker.runShard(circuit, worker_pipeline, obs,
-                                opts, k, shards);
-            stabilizer_runs += slots.stabilizerTrajectories;
-            prefix_runs += slots.prefixStateHits;
             ShardResult result;
             result.shardIndex = k;
             result.shardCount = shards;
@@ -532,20 +529,19 @@ TEST(BackendRouting, ShardedStabilizerMergeMatchesSingleProcess)
             result.jobFingerprint = 0xCAFE;
             result.seed = opts.seed;
             result.compileSeed = opts.compileSeed;
-            result.instances = std::move(slots.instances);
-            result.fingerprints = std::move(slots.fingerprints);
-            result.slots = std::move(slots.slots);
-            results.push_back(std::move(result));
+            result.run = worker.runShard(circuit, worker_pipeline,
+                                         obs, opts, k, shards);
+            results.push_back(ShardResult::decode(result.encode()));
         }
         const RunResult merged = mergeShards(results);
         expectBitIdentical(merged, reference,
                            "shards=" + std::to_string(shards));
-        // The routing counts add up across shards to the
-        // single-process ones (runEnsemble is the one-shard case).
-        EXPECT_EQ(stabilizer_runs, std::uint64_t(
-                                       reference.stabilizerTrajectories))
+        // The counters add up across shards to the single-process
+        // ones (runEnsemble is the one-shard case).
+        EXPECT_EQ(merged.stabilizerTrajectories,
+                  reference.stabilizerTrajectories)
             << "shards=" << shards;
-        EXPECT_EQ(prefix_runs, reference.prefixStateHits)
+        EXPECT_EQ(merged.prefixStateHits, reference.prefixStateHits)
             << "shards=" << shards;
         for (std::size_t k = 0; k < merged.means.size(); ++k)
             EXPECT_NEAR(merged.means[k], dense.means[k], 1e-12)
@@ -573,7 +569,8 @@ TEST(BackendRouting, StabilizerScalesPastTheDenseLimit)
     const RunResult result = engine.runEnsemble(
         chainWorkload(qubits, 2), pipeline, zObservables(qubits),
         opts);
-    EXPECT_EQ(result.stabilizerTrajectories, result.trajectories);
+    EXPECT_EQ(result.stabilizerTrajectories,
+              std::uint64_t(result.trajectories));
     ASSERT_EQ(result.means.size(), qubits);
     for (double mean : result.means) {
         EXPECT_GE(mean, -1.0 - 1e-12);

@@ -90,8 +90,8 @@ printJob(const JobProgress &job)
     if (job.trajectoriesDone) {
         std::cout << " " << job.trajectoriesDone << "/"
                   << job.trajectories << " trajectories";
-        if (job.prefixStateHits)
-            std::cout << " (" << job.prefixStateHits
+        if (job.stats.prefixStateHits)
+            std::cout << " (" << job.stats.prefixStateHits
                       << " prefix-forked)";
         if (job.trajectoriesPerSecond > 0.0) {
             std::cout << " @ " << std::fixed
@@ -209,7 +209,9 @@ cmdStats(const std::string &socket_path)
               << "shardRetries " << t.shardRetries << "\n"
               << "shardsStolen " << t.shardsStolen << "\n"
               << "trajectoriesDone " << t.trajectoriesDone << "\n"
-              << "prefixStateHits " << t.prefixStateHits << "\n"
+              << "stabilizerTrajectories "
+              << t.stats.stabilizerTrajectories << "\n"
+              << "prefixStateHits " << t.stats.prefixStateHits << "\n"
               << std::fixed << std::setprecision(1) << "upMillis "
               << t.upMillis << "\n"
               << "trajectoriesPerSecond "

@@ -146,7 +146,7 @@ cmdRun(int argc, char **argv)
     std::cerr << "shard " << spec.shardIndex << "/"
               << spec.shardCount << ": "
               << result.ownedTrajectories() << " trajectories over "
-              << result.instances.size() << " instance(s) -> "
+              << result.run.instances.size() << " instance(s) -> "
               << out_path << "\n";
     return 0;
 }
@@ -253,9 +253,9 @@ cmdDescribe(int argc, char **argv)
               << result.trajectories << " trajectories, "
               << result.observableCount << " observable(s)\n"
               << "  compiled instances:";
-    for (std::size_t i = 0; i < result.instances.size(); ++i)
-        std::cout << " " << result.instances[i] << ":" << std::hex
-                  << result.fingerprints[i] << std::dec;
+    for (std::size_t i = 0; i < result.run.instances.size(); ++i)
+        std::cout << " " << result.run.instances[i] << ":" << std::hex
+                  << result.run.fingerprints[i] << std::dec;
     std::cout << "\n  seeds sim " << result.seed << " compile "
               << result.compileSeed << "\n";
     return 0;
