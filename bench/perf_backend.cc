@@ -35,6 +35,7 @@
 #include "bench_common.hh"
 #include "passes/pipeline.hh"
 #include "sim/engine.hh"
+#include "sim/statevector.hh"
 
 using namespace casq;
 
@@ -78,7 +79,8 @@ usage(const char *prog)
         << "  --traj N          trajectory budget (default 400)\n"
         << "  --instances N     twirled variants (default 8)\n"
         << "  --qubits N        head-to-head chain length\n"
-        << "                    (default 8; must be <= 24)\n"
+        << "                    (default 8; must be <= "
+        << Statevector::kMaxQubits << ")\n"
         << "  --depth D         layer pairs (default 12)\n"
         << "  --seed S          master seed (default 2024)\n"
         << "  --threads N       workers (default 1; 0 = all cores)\n"
@@ -110,7 +112,8 @@ parse(int argc, char **argv)
                 std::numeric_limits<int>::max()));
         } else if (const char *v = value("--qubits")) {
             options.qubits = std::size_t(
-                bench::checkedInt("--qubits", v, 1, 24));
+                bench::checkedInt("--qubits", v, 1,
+                                  Statevector::kMaxQubits));
         } else if (const char *v = value("--depth")) {
             options.depth = int(bench::checkedInt(
                 "--depth", v, 0,

@@ -594,7 +594,7 @@ main(int argc, char **argv)
             Statevector fast_sv(k.qubits);
             fillRandom(fast_sv, rng);
             Statevector ref_sv(k.qubits);
-            ref_sv.copyFrom(fast_sv);
+            ref_sv.assign(fast_sv);
 
             // Correctness sweep over every rotated qubit choice.
             for (int r = 0; r < int(kq); ++r) {

@@ -80,13 +80,6 @@ PassContext::flat() const
     return *_flat;
 }
 
-Circuit &
-PassContext::mutableFlat()
-{
-    requireStage(CircuitStage::Flat, "flat");
-    return *_flat;
-}
-
 void
 PassContext::setScheduled(ScheduledCircuit circuit)
 {
@@ -123,18 +116,6 @@ void
 PassContext::setProperty(const std::string &key, std::any value)
 {
     _properties[key] = std::move(value);
-}
-
-bool
-PassContext::hasProperty(const std::string &key) const
-{
-    return _properties.count(key) > 0;
-}
-
-void
-PassContext::eraseProperty(const std::string &key)
-{
-    _properties.erase(key);
 }
 
 void

@@ -114,7 +114,6 @@ class PassContext
     /** Lower to the flat stage. */
     void setFlat(Circuit circuit);
     const Circuit &flat() const;
-    Circuit &mutableFlat();
 
     /** Lower to the scheduled stage. */
     void setScheduled(ScheduledCircuit circuit);
@@ -128,11 +127,6 @@ class PassContext
 
     /** Store a property, replacing any previous value. */
     void setProperty(const std::string &key, std::any value);
-
-    bool hasProperty(const std::string &key) const;
-
-    /** Remove a property; no-op when absent. */
-    void eraseProperty(const std::string &key);
 
     /**
      * Typed read of a property; nullptr when the key is absent or

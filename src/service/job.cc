@@ -135,16 +135,12 @@ validateJobSpec(const JobSpec &job, const AdmissionLimits &limits)
                " overflows the shard slot format (u32)");
     }
 
-    // Every recipe's device width must agree with the circuit, so
-    // executeShard's backend/circuit width check cannot fail after
-    // admission.
-    const std::uint32_t device_qubits =
-        backendRecipeQubits(work.backend, work.backendQubits);
-    if (device_qubits != work.logical.numQubits()) {
-        reject("backend recipe " + backendRecipeName(work.backend) +
-               " builds " + std::to_string(device_qubits) +
-               " qubits but the circuit has " +
-               std::to_string(work.logical.numQubits()));
+    // The device width must agree with the circuit, so executeShard's
+    // own width check cannot fail after admission.
+    try {
+        checkBackendWidth(work);
+    } catch (const ShardError &e) {
+        reject(e.what());
     }
 
     // The noise configuration was validated field by field when the

@@ -1,7 +1,10 @@
 #include "sim/backend.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 #include "sim/stabilizer.hh"
+#include "sim/statevector.hh"
 
 namespace casq {
 
@@ -31,13 +34,10 @@ simBackendKindFromName(const std::string &name)
     return std::nullopt;
 }
 
-void
-DenseBackend::assign(const StateBackend &src)
+Complex
+unitPhase(double theta)
 {
-    casq_assert(src.kind() == SimBackendKind::Dense &&
-                    src.numQubits() == _state.numQubits(),
-                "assign needs a dense backend of the same width");
-    _state.copyFrom(static_cast<const DenseBackend &>(src).state());
+    return Complex(std::cos(theta * 0.5), std::sin(theta * 0.5));
 }
 
 int
@@ -57,7 +57,7 @@ makeStateBackend(SimBackendKind kind, std::size_t num_qubits)
 {
     switch (kind) {
       case SimBackendKind::Dense:
-        return std::make_unique<DenseBackend>(num_qubits);
+        return std::make_unique<Statevector>(num_qubits);
       case SimBackendKind::Stabilizer:
         return std::make_unique<StabilizerBackend>(num_qubits);
       case SimBackendKind::Auto:

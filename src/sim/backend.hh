@@ -4,9 +4,10 @@
  * SimulationEngine drives its quantum state through the abstract
  * StateBackend kernel surface (generic 1q/2q gates, the fused
  * diagonal-phase kernel, Pauli injection, measurement, amplitude
- * damping, Pauli expectation values).  DenseBackend wraps the exact
- * Statevector; StabilizerBackend (sim/stabilizer.hh) is the
- * CHP-style tableau fast path for Clifford-only trajectories.
+ * damping, Pauli expectation values).  Statevector
+ * (sim/statevector.hh) is the exact dense substrate;
+ * StabilizerBackend (sim/stabilizer.hh) is the CHP-style tableau
+ * fast path for Clifford-only trajectories.
  *
  * The engine resolves SimBackendKind::Auto per compiled variant: a
  * variant whose every instruction, noise phase and sampled error is
@@ -22,13 +23,52 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/matrix.hh"
 #include "common/rng.hh"
 #include "pauli/pauli.hh"
-#include "sim/statevector.hh"
 
 namespace casq {
+
+/**
+ * e^{+i theta/2}, the bit-1 factor of Rz(theta) and the odd-parity
+ * factor of Rzz(theta).  Defined out of line so every caller gets
+ * the same runtime cos/sin bits (a constant argument is never
+ * folded at compile time).
+ */
+Complex unitPhase(double theta);
+
+/**
+ * Per-qubit Z-rotation angle entry for the fused phase kernel.  The
+ * unit factor is computed once, when the entry is built, so the
+ * kernel itself does no trig.
+ */
+struct QubitAngle
+{
+    QubitAngle(std::uint32_t q, double th)
+        : qubit(q), theta(th), unit(unitPhase(th))
+    {
+    }
+
+    std::uint32_t qubit;
+    double theta; //!< Rz(theta) = exp(-i theta Z / 2)
+    Complex unit; //!< unitPhase(theta)
+};
+
+/** Per-pair ZZ-rotation angle entry for the fused phase kernel. */
+struct PairAngle
+{
+    PairAngle(std::uint32_t a, std::uint32_t b, double th)
+        : q0(a), q1(b), theta(th), unit(unitPhase(th))
+    {
+    }
+
+    std::uint32_t q0;
+    std::uint32_t q1;
+    double theta; //!< Rzz(theta) = exp(-i theta ZZ / 2)
+    Complex unit; //!< unitPhase(theta)
+};
 
 /** Which simulation substrate executes a trajectory. */
 enum class SimBackendKind : std::uint8_t
@@ -117,100 +157,6 @@ class StateBackend
      * identically (one uniform per measurement).
      */
     int measure(std::uint32_t q, Rng &rng);
-};
-
-/** The exact dense statevector behind the StateBackend interface. */
-class DenseBackend final : public StateBackend
-{
-  public:
-    explicit DenseBackend(std::size_t num_qubits)
-        : _state(num_qubits)
-    {
-    }
-
-    SimBackendKind
-    kind() const override
-    {
-        return SimBackendKind::Dense;
-    }
-
-    std::size_t
-    numQubits() const override
-    {
-        return _state.numQubits();
-    }
-
-    void
-    reset() override
-    {
-        _state.reset();
-    }
-
-    void assign(const StateBackend &src) override;
-
-    void
-    applyGate1q(const CMat &u, std::uint32_t q) override
-    {
-        _state.applyGate1q(u, q);
-    }
-
-    void
-    applyGate2q(const CMat &u, std::uint32_t q0,
-                std::uint32_t q1) override
-    {
-        _state.applyGate2q(u, q0, q1);
-    }
-
-    void
-    applyRz(std::uint32_t q, double theta) override
-    {
-        _state.applyRz(q, theta);
-    }
-
-    void
-    applyPhases(const std::vector<QubitAngle> &z_angles,
-                const std::vector<PairAngle> &zz_angles) override
-    {
-        _state.applyPhases(z_angles, zz_angles);
-    }
-
-    void
-    applyPauliOp(PauliOp op, std::uint32_t q) override
-    {
-        _state.applyPauliOp(op, q);
-    }
-
-    double
-    probabilityOne(std::uint32_t q) const override
-    {
-        return _state.probabilityOne(q);
-    }
-
-    void
-    collapse(std::uint32_t q, int outcome) override
-    {
-        _state.collapse(q, outcome);
-    }
-
-    void
-    amplitudeDamp(std::uint32_t q, double tau, double t1,
-                  Rng &rng) override
-    {
-        _state.amplitudeDamp(q, tau, t1, rng);
-    }
-
-    double
-    expectation(const PauliString &p) const override
-    {
-        return _state.expectation(p);
-    }
-
-    /** The wrapped statevector (tests and benches peek at it). */
-    Statevector &state() { return _state; }
-    const Statevector &state() const { return _state; }
-
-  private:
-    Statevector _state;
 };
 
 /**

@@ -14,6 +14,7 @@
 #include "sim/backend.hh"
 #include "sim/noise/source.hh"
 #include "sim/stabilizer.hh"
+#include "sim/statevector.hh"
 #include "sim/timeline.hh"
 
 namespace casq {
@@ -654,12 +655,14 @@ class TrajectoryRunner
         auto &slot = kind == SimBackendKind::Stabilizer ? _tableau
                                                         : _dense;
         if (!slot) {
-            if (kind == SimBackendKind::Dense && _numQubits > 24) {
+            if (kind == SimBackendKind::Dense &&
+                _numQubits > Statevector::kMaxQubits) {
                 casq_fatal(
                     _numQubits,
-                    " qubits exceed the dense statevector limit "
-                    "(24); a Clifford workload can run at this "
-                    "size with --sim-backend auto or stabilizer");
+                    " qubits exceed the dense statevector limit (",
+                    Statevector::kMaxQubits,
+                    "); a Clifford workload can run at this size "
+                    "with --sim-backend auto or stabilizer");
             }
             slot = makeStateBackend(kind, _numQubits);
         }

@@ -50,13 +50,12 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "sim/statevector.hh"
+#include "sim/backend.hh"
 #include "sim/timeline.hh"
 
 namespace casq {
 
 class Backend;
-class StateBackend;
 struct Instruction;
 
 /** One pluggable error mechanism of the trajectory simulator. */

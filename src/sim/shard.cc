@@ -611,17 +611,25 @@ decodeRunStats(ByteReader &r, std::uint64_t trajectories)
 
 // -------------------------------------------------------- execution
 
-ShardResult
-executeShard(const ShardSpec &spec, int threads)
+void
+checkBackendWidth(const ShardSpec &spec)
 {
-    const Backend backend = spec.makeBackend();
-    if (backend.numQubits() != spec.logical.numQubits()) {
+    const std::uint32_t device_qubits =
+        backendRecipeQubits(spec.backend, spec.backendQubits);
+    if (device_qubits != spec.logical.numQubits()) {
         throw ShardError(
-            "backend recipe builds a " +
-            std::to_string(backend.numQubits()) +
+            "backend recipe " + backendRecipeName(spec.backend) +
+            " builds a " + std::to_string(device_qubits) +
             "-qubit device but the logical circuit has " +
             std::to_string(spec.logical.numQubits()) + " qubits");
     }
+}
+
+ShardResult
+executeShard(const ShardSpec &spec, int threads)
+{
+    checkBackendWidth(spec);
+    const Backend backend = spec.makeBackend();
     for (const PauliString &obs : spec.observables) {
         if (obs.numQubits() != spec.logical.numQubits()) {
             throw ShardError(

@@ -221,6 +221,14 @@ void encodeRunStats(ByteWriter &w, const RunStats &stats);
 RunStats decodeRunStats(ByteReader &r, std::uint64_t trajectories);
 
 /**
+ * Throw ShardError unless the device `spec`'s backend recipe builds
+ * is as wide as its logical circuit.  Every entry point that accepts
+ * a run description (plan, execute, simulate, admission) calls this,
+ * so a spec no entry point can run is refused before any work.
+ */
+void checkBackendWidth(const ShardSpec &spec);
+
+/**
  * Execute the shard a spec describes: rebuild the backend and
  * pipeline, run SimulationEngine::runShard on `threads` workers
  * (0 = one per core; never changes any bit of the result), and

@@ -24,17 +24,11 @@ mul(const Complex &x, const Complex &y)
 
 } // namespace
 
-Complex
-unitPhase(double theta)
-{
-    return Complex(std::cos(theta * 0.5), std::sin(theta * 0.5));
-}
-
 Statevector::Statevector(std::size_t num_qubits)
     : _numQubits(num_qubits),
       _amps(std::size_t(1) << num_qubits)
 {
-    casq_assert(num_qubits <= 24, "statevector too large");
+    casq_assert(num_qubits <= kMaxQubits, "statevector too large");
     _amps[0] = 1.0;
 }
 
@@ -46,10 +40,12 @@ Statevector::reset()
 }
 
 void
-Statevector::copyFrom(const Statevector &other)
+Statevector::assign(const StateBackend &src)
 {
-    casq_assert(other._numQubits == _numQubits,
-                "copyFrom width mismatch");
+    casq_assert(src.kind() == SimBackendKind::Dense &&
+                    src.numQubits() == _numQubits,
+                "assign needs a dense backend of the same width");
+    const auto &other = static_cast<const Statevector &>(src);
     _amps.assign(other._amps.begin(), other._amps.end());
 }
 
@@ -401,42 +397,6 @@ Statevector::probabilityOfOutcome(
         if ((i & mask) == want)
             p += std::norm(_amps[i]);
     return p;
-}
-
-int
-Statevector::measure(std::uint32_t q, Rng &rng)
-{
-    // Fused: one pass accumulates both outcome probabilities (each
-    // in ascending index order, matching the unfused subset sums),
-    // then a single pass collapses and rescales.
-    const std::size_t half = std::size_t(1) << q;
-    const std::size_t n = _amps.size();
-    Complex *amps = _amps.data();
-    double p0 = 0.0, p1 = 0.0;
-    for (std::size_t base = 0; base < n; base += 2 * half) {
-        const Complex *lo = amps + base;
-        const Complex *hi = lo + half;
-        for (std::size_t off = 0; off < half; ++off)
-            p0 += std::norm(lo[off]);
-        for (std::size_t off = 0; off < half; ++off)
-            p1 += std::norm(hi[off]);
-    }
-    const int outcome = rng.uniform() < p1 ? 1 : 0;
-    const double kept = outcome ? p1 : p0;
-    const double nrm = std::sqrt(kept);
-    casq_assert(nrm > 1e-12, "state collapsed to zero norm");
-    const double inv = 1.0 / nrm;
-    for (std::size_t base = 0; base < n; base += 2 * half) {
-        Complex *lo = amps + base;
-        Complex *hi = lo + half;
-        Complex *keep = outcome ? hi : lo;
-        Complex *drop = outcome ? lo : hi;
-        for (std::size_t off = 0; off < half; ++off)
-            keep[off] *= inv;
-        for (std::size_t off = 0; off < half; ++off)
-            drop[off] = 0.0;
-    }
-    return outcome;
 }
 
 void

@@ -4,7 +4,9 @@
  * trajectory simulator: generic 1q/2q gate application, a fused
  * diagonal-phase kernel for the per-segment Z/ZZ crosstalk errors,
  * projective measurement, amplitude damping, and exact Pauli
- * expectation values.
+ * expectation values.  It is the dense StateBackend
+ * (sim/backend.hh): the engine's trajectories drive it through that
+ * seam, while tests and benches call it directly.
  */
 
 #ifndef CASQ_SIM_STATEVECTOR_HH
@@ -13,78 +15,49 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/matrix.hh"
-#include "common/rng.hh"
-#include "pauli/pauli.hh"
+#include "sim/backend.hh"
 
 namespace casq {
 
-/**
- * e^{+i theta/2}, the bit-1 factor of Rz(theta) and the odd-parity
- * factor of Rzz(theta).  Defined out of line so every caller gets
- * the same runtime cos/sin bits (a constant argument is never
- * folded at compile time).
- */
-Complex unitPhase(double theta);
-
-/**
- * Per-qubit Z-rotation angle entry for the fused phase kernel.  The
- * unit factor is computed once, when the entry is built, so the
- * kernel itself does no trig.
- */
-struct QubitAngle
-{
-    QubitAngle(std::uint32_t q, double th)
-        : qubit(q), theta(th), unit(unitPhase(th))
-    {
-    }
-
-    std::uint32_t qubit;
-    double theta; //!< Rz(theta) = exp(-i theta Z / 2)
-    Complex unit; //!< unitPhase(theta)
-};
-
-/** Per-pair ZZ-rotation angle entry for the fused phase kernel. */
-struct PairAngle
-{
-    PairAngle(std::uint32_t a, std::uint32_t b, double th)
-        : q0(a), q1(b), theta(th), unit(unitPhase(th))
-    {
-    }
-
-    std::uint32_t q0;
-    std::uint32_t q1;
-    double theta; //!< Rzz(theta) = exp(-i theta ZZ / 2)
-    Complex unit; //!< unitPhase(theta)
-};
-
 /** Dense complex statevector over n qubits (qubit 0 = LSB). */
-class Statevector
+class Statevector final : public StateBackend
 {
   public:
+    /** Widest state the dense substrate allocates (2^24 amplitudes). */
+    static constexpr std::size_t kMaxQubits = 24;
+
     explicit Statevector(std::size_t num_qubits);
 
-    std::size_t numQubits() const { return _numQubits; }
+    SimBackendKind
+    kind() const override
+    {
+        return SimBackendKind::Dense;
+    }
+
+    std::size_t numQubits() const override { return _numQubits; }
     std::size_t size() const { return _amps.size(); }
 
     /** Reset to |0...0>. */
-    void reset();
+    void reset() override;
 
-    /** Copy another state of the same width (no reallocation). */
-    void copyFrom(const Statevector &other);
+    /**
+     * Copy another dense state of the same width (no reallocation);
+     * `src` must be a Statevector.
+     */
+    void assign(const StateBackend &src) override;
 
     const std::vector<Complex> &amplitudes() const { return _amps; }
     Complex &amp(std::size_t i) { return _amps[i]; }
 
     /** Apply a 2x2 unitary to qubit q. */
-    void applyGate1q(const CMat &u, std::uint32_t q);
+    void applyGate1q(const CMat &u, std::uint32_t q) override;
 
     /** Apply a 4x4 unitary to (q0 = less significant, q1). */
     void applyGate2q(const CMat &u, std::uint32_t q0,
-                     std::uint32_t q1);
+                     std::uint32_t q1) override;
 
     /** Rz(theta) on q (diagonal fast path). */
-    void applyRz(std::uint32_t q, double theta);
+    void applyRz(std::uint32_t q, double theta) override;
 
     /** Rzz(theta) on (q0, q1) (diagonal fast path). */
     void applyRzz(std::uint32_t q0, std::uint32_t q1, double theta);
@@ -97,27 +70,24 @@ class Statevector
      * Every qubit index must be below numQubits().
      */
     void applyPhases(const std::vector<QubitAngle> &z_angles,
-                     const std::vector<PairAngle> &zz_angles);
+                     const std::vector<PairAngle> &zz_angles) override;
 
     /** Apply a Pauli string (its phase included). */
     void applyPauli(const PauliString &p);
 
     /** Apply a single-qubit Pauli by enum. */
-    void applyPauliOp(PauliOp op, std::uint32_t q);
+    void applyPauliOp(PauliOp op, std::uint32_t q) override;
 
     /** Probability that qubit q reads 1. */
-    double probabilityOne(std::uint32_t q) const;
+    double probabilityOne(std::uint32_t q) const override;
 
     /** Probability of a full/partial computational outcome. */
     double probabilityOfOutcome(
         const std::vector<std::uint32_t> &qubits,
         const std::vector<int> &bits) const;
 
-    /** Projective measurement with collapse; returns the outcome. */
-    int measure(std::uint32_t q, Rng &rng);
-
     /** Project qubit q onto `outcome` and renormalize. */
-    void collapse(std::uint32_t q, int outcome);
+    void collapse(std::uint32_t q, int outcome) override;
 
     /**
      * Amplitude-damping channel for idling time tau with relaxation
@@ -125,10 +95,10 @@ class Statevector
      * branches is sampled and the state renormalized).
      */
     void amplitudeDamp(std::uint32_t q, double tau, double t1,
-                       Rng &rng);
+                       Rng &rng) override;
 
     /** Exact expectation <psi| P |psi> (real part). */
-    double expectation(const PauliString &p) const;
+    double expectation(const PauliString &p) const override;
 
     /** <other|this>. */
     Complex overlap(const Statevector &other) const;

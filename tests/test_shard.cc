@@ -249,6 +249,11 @@ TEST(Shard, ExecuteShardRejectsMismatchedBackendWidth)
     ShardSpec spec = testSpec();
     spec.backendQubits = 5; // logical circuit has 4 qubits
     EXPECT_THROW(executeShard(spec, 1), ShardError);
+    // The fixed 127-qubit recipes ignore backendQubits.
+    spec = testSpec();
+    spec.backend = BackendRecipe::Nazca;
+    EXPECT_THROW(executeShard(spec, 1), ShardError);
+    EXPECT_THROW(checkBackendWidth(spec), ShardError);
 }
 
 TEST(Shard, BackendRecipeNamesRoundTrip)

@@ -25,6 +25,7 @@
 #include "sim/engine.hh"
 #include "sim/shard.hh"
 #include "sim/stabilizer.hh"
+#include "sim/statevector.hh"
 
 namespace casq {
 namespace {
@@ -34,7 +35,7 @@ constexpr double kPi = 3.14159265358979323846;
 /** Both substrates of one n-qubit state, driven in lockstep. */
 struct BackendPair
 {
-    DenseBackend dense;
+    Statevector dense;
     StabilizerBackend tableau;
 
     explicit BackendPair(std::size_t n) : dense(n), tableau(n) {}
@@ -105,16 +106,21 @@ TEST(StateBackend, MakeStateBackendBuildsTheRequestedKind)
 
 TEST(StateBackend, DenseBackendDelegatesToStatevector)
 {
-    DenseBackend backend(2);
+    // The dense backend is the Statevector itself: calls through the
+    // seam land in its kernels with no forwarding layer between.
+    Statevector sv(2);
+    StateBackend &backend = sv;
+    EXPECT_EQ(backend.kind(), SimBackendKind::Dense);
+    EXPECT_EQ(backend.numQubits(), 2u);
     backend.applyGate1q(gateUnitary(Op::H), 0);
     backend.applyGate2q(gateUnitary(Op::CX), 0, 1);
-    EXPECT_NEAR(backend.state().expectation(
-                    PauliString::fromLabel("ZZ")),
-                1.0, 1e-12);
+    EXPECT_NEAR(sv.expectation(PauliString::fromLabel("ZZ")), 1.0,
+                1e-12);
     EXPECT_NEAR(backend.expectation(PauliString::fromLabel("XX")),
                 1.0, 1e-12);
     backend.reset();
     EXPECT_NEAR(backend.probabilityOne(1), 0.0, 1e-12);
+    EXPECT_EQ(sv.amplitudes()[0], Complex(1.0));
 }
 
 TEST(StabilizerVsDense, NamedCliffordStatesAgree)
@@ -304,6 +310,22 @@ TEST(StateBackendDeath, NonCliffordInputFailsLoudly)
     Rng rng(1);
     EXPECT_DEATH(tableau.amplitudeDamp(0, 100.0, 50.0, rng),
                  "not a Clifford channel");
+}
+
+TEST(StateBackendDeath, AssignNeedsSameKindAndWidth)
+{
+    // assign() is the prefix-state fork primitive; a fork across
+    // substrates or widths must die, not copy garbage.
+    Statevector dense(2);
+    const Statevector wider(3);
+    StabilizerBackend tableau(2);
+    EXPECT_DEATH(dense.assign(tableau),
+                 "assign needs a dense backend of the same width");
+    EXPECT_DEATH(dense.assign(wider),
+                 "assign needs a dense backend of the same width");
+    EXPECT_DEATH(tableau.assign(dense),
+                 "assign needs a stabilizer backend of the same "
+                 "width");
 }
 
 // --------------------------------------------- engine routing

@@ -201,7 +201,7 @@ TEST(Statevector, CopyFromMatchesSourceExactly)
     src.applyGate1q(gateUnitary(Op::H), 0);
     src.applyGate2q(gateUnitary(Op::ECR), 0, 2);
     src.applyRz(1, 0.37);
-    dst.copyFrom(src);
+    dst.assign(src);
     for (std::size_t i = 0; i < src.size(); ++i)
         EXPECT_EQ(dst.amplitudes()[i], src.amplitudes()[i]) << i;
     // The copy is independent state, not a view.
@@ -486,7 +486,7 @@ TEST(StatevectorKernels, RandomizedPauliMatchesMatrixKernel)
          {"XX", "YY", "ZX", "XZ", "YX", "ZY", "IX", "YI"}) {
         Statevector a = randomState(2, rng);
         Statevector b(2);
-        b.copyFrom(a);
+        b.assign(a);
         const PauliString p = PauliString::fromLabel(label);
         a.applyPauli(p);
         CMat m(4, 4);
@@ -811,10 +811,9 @@ TEST(StatevectorKernelsDeathTest, OutOfRangeQubitsDie)
 
 // --------------------------------- fused-kernel bit-exact pins
 //
-// measure() fuses probabilityOne + collapse + renormalize into one
-// probability pass and one scaling pass with identical arithmetic
-// order, so composing the unfused library calls must reproduce its
-// bytes exactly -- EXPECT_EQ, no tolerance.
+// measure() is StateBackend's shared probabilityOne -> uniform ->
+// collapse sequence, so composing those library calls by hand must
+// reproduce its bytes exactly -- EXPECT_EQ, no tolerance.
 
 TEST(StatevectorKernels, MeasureEqualsProbabilityPlusCollapse)
 {
@@ -823,7 +822,7 @@ TEST(StatevectorKernels, MeasureEqualsProbabilityPlusCollapse)
         Rng setup = master.derive(std::uint64_t(round));
         Statevector fused = randomState(4, setup);
         Statevector composed(4);
-        composed.copyFrom(fused);
+        composed.assign(fused);
         const std::uint32_t q = round % 4;
 
         // Identical draw for both paths.

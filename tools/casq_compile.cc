@@ -135,14 +135,8 @@ compileMain(int argc, char **argv)
         if (dump)
             std::cout << "(--dump ignored with --simulate: the "
                          "fused path materializes no schedule)\n";
-        // executeShard() refuses this too; the engine would panic.
-        if (backend.numQubits() != spec.logical.numQubits())
-            throw ShardError(
-                "backend recipe builds a " +
-                std::to_string(backend.numQubits()) +
-                "-qubit device but the logical circuit has " +
-                std::to_string(spec.logical.numQubits()) +
-                " qubits");
+        // The engine would panic on a width mismatch.
+        checkBackendWidth(spec);
         SimulationEngine engine(backend, spec.makeNoise());
         // A deterministic pipeline compiles a single instance no
         // matter what --ensemble asked for.

@@ -95,6 +95,8 @@ cmdPlan(int argc, char **argv)
 
     ShardSpec spec = run.finish();
     spec.shardCount = shards;
+    // Refuse a job no shard could run before writing any file.
+    checkBackendWidth(spec);
     // One spec per shard; only the shard index differs, so every
     // file shares the job fingerprint `merge` checks.
     for (std::uint32_t k = 0; k < shards; ++k) {
